@@ -1,11 +1,12 @@
 """Independent ground-truth generators.
 
 Nothing here touches the time stepper: closed-form traveling-wave solutions
-for constant speed, adaptive quadrature for the pinned data constants,
-log-log order estimation, and a frequency-domain evaluation of the squared
-norm whose linear-in-time trend gives the growth slope when the velocity
-moment does not vanish. Every pinned constant used by the test suite is
-regenerated through this module rather than hard-coded.
+for constant speed, composite Gauss-Legendre quadrature for the velocity
+antiderivative and the pinned data constants, log-log order estimation, and
+a frequency-domain evaluation of the squared norm whose linear-in-time trend
+gives the growth slope when the velocity moment does not vanish. Every
+pinned constant used by the test suite is regenerated through this module
+rather than hard-coded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,17 @@ import numpy as np
 
 from wavebound.errors import AccuracyError, OracleError
 from wavebound.initial_data import InitialData, bump, bump_prime
-from wavebound.quadrature import adaptive_simpson
+
+# composite Gauss-Legendre rule: equal panels over the support, each panel
+# integrated at two orders whose difference is the panel's error estimate
+PANELS = 4096
+GAUSS_ORDER = 12
+CHECK_ORDER = 8
+# bisection rounds for panels whose two orders disagree, and the panel cap
+MAX_SPLITS = 20
+MAX_PANELS = 64 * PANELS
+# most points handed to a sampler in one call; bounds the temporaries
+BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -29,6 +40,68 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
+# composite Gauss-Legendre quadrature
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _legendre(order: int):
+    # numpy.polynomial is imported here, not at module load: the CLI never
+    # needs it unless an oracle integrates numerically
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(order)
+
+
+def _gauss(f, lo, hi, order=GAUSS_ORDER):
+    """Gauss-Legendre rule of ``order`` on each interval ``[lo[i], hi[i]]``.
+
+    ``f`` is sampled at most ``BLOCK_POINTS`` points per call.
+    """
+    nodes, weights = _legendre(order)
+    out = np.empty(lo.size)
+    per = BLOCK_POINTS // order
+    for start in range(0, lo.size, per):
+        a = lo[start : start + per]
+        b = hi[start : start + per]
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        out[start : start + per] = half * (fx @ weights)
+    return out
+
+
+def _panel_integrals(f, lo: float, hi: float, tol: float):
+    """Panel edges over ``[lo, hi]`` and the integral of ``f`` on each panel.
+
+    Starts from ``PANELS`` equal panels and bisects every panel whose two
+    Gauss orders differ by more than its share of the absolute tolerance
+    ``tol`` (its width over ``hi - lo``). Raises :class:`AccuracyError`,
+    with the achieved total attached, when a value is not finite or some
+    panel still disagrees after ``MAX_SPLITS`` rounds or ``MAX_PANELS``
+    panels.
+    """
+    edges = np.linspace(lo, hi, PANELS + 1)
+    for _ in range(MAX_SPLITS + 1):
+        a, b = edges[:-1], edges[1:]
+        fine = _gauss(f, a, b)
+        diff = np.abs(fine - _gauss(f, a, b, CHECK_ORDER))
+        bad = ~(diff <= tol * (b - a) / (hi - lo))
+        if not bad.any():
+            return edges, fine
+        if not np.isfinite(diff).all() or edges.size + np.count_nonzero(bad) > MAX_PANELS:
+            break
+        edges = np.sort(np.concatenate((edges, 0.5 * (a[bad] + b[bad]))))
+    worst = int(np.argmax(np.where(bad, diff, -1.0)))
+    raise AccuracyError(
+        f"Gauss-Legendre panels on [{lo}, {hi}] did not converge to tol={tol}: "
+        f"orders {CHECK_ORDER} and {GAUSS_ORDER} differ by {diff[worst]:.3g} "
+        f"on [{a[worst]}, {b[worst]}]",
+        achieved=float(np.sum(fine)),
+    )
+
+
+# ---------------------------------------------------------------------------
 # closed-form traveling-wave solution for constant speed
 # ---------------------------------------------------------------------------
 
@@ -36,28 +109,28 @@ class OracleResult:
 def _v1_evaluator(data: InitialData):
     """Antiderivative of the initial velocity as a vectorized callable.
 
-    Uses the family's closed form when available, otherwise incremental
-    adaptive quadrature between sorted evaluation points.
+    Uses the family's closed form when available, otherwise a cumulative
+    composite Gauss-Legendre table over the support plus one Gauss rule
+    from the query point's panel edge to the point, evaluated in blocks of
+    queries so that no temporary grows with the number of points.
     """
     if data.v1_exact is not None:
         return lambda x: np.asarray(data.v1_exact(x), dtype=float)
 
     L = data.support_radius
+    edges, panels = _panel_integrals(data.u1, -L, L, tol=1e-12)
+    cum = np.concatenate(([0.0], np.cumsum(panels)))
 
     def evaluator(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        order = np.argsort(arr)
-        out = np.empty_like(arr)
-        acc = 0.0
-        prev = -L
-        for idx in order:
-            xi = arr[idx]
-            lo, hi = min(max(prev, -L), L), min(max(xi, -L), L)
-            if hi > lo:
-                acc += adaptive_simpson(lambda s: float(data.u1(s)), lo, hi, tol=1e-12)
-            out[idx] = acc
-            prev = max(prev, xi)
-        return out if np.asarray(x).ndim else float(out[0])
+        flat = np.ravel(np.asarray(x, dtype=float))
+        out = np.empty_like(flat)
+        step = BLOCK_POINTS // GAUSS_ORDER
+        for start in range(0, flat.size, step):
+            # clipped: 0 left of the support, the full integral right of it
+            xs = np.clip(flat[start : start + step], -L, L)
+            k = np.searchsorted(edges, xs, side="right") - 1
+            out[start : start + step] = cum[k] + _gauss(data.u1, edges[k], xs)
+        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
     return evaluator
 
@@ -104,18 +177,26 @@ def convergence_order(errors_at_h) -> float:
 @lru_cache(maxsize=1)
 def bump_constants() -> dict:
     """Quadrature values for the standard bump: mass, squared norms."""
-    integral = adaptive_simpson(lambda y: float(bump(y)), -1.0, 1.0, tol=1e-13)
-    l2_sq = adaptive_simpson(lambda y: float(bump(y)) ** 2, -1.0, 1.0, tol=1e-13)
-    dl2_sq = adaptive_simpson(lambda y: float(bump_prime(y)) ** 2, -1.0, 1.0, tol=1e-13)
-    return {"integral": integral, "l2_sq": l2_sq, "prime_l2_sq": dl2_sq}
+
+    def integral(f):
+        return float(np.sum(_panel_integrals(f, -1.0, 1.0, tol=1e-13)[1]))
+
+    return {
+        "integral": integral(bump),
+        "l2_sq": integral(lambda y: bump(y) ** 2),
+        "prime_l2_sq": integral(lambda y: bump_prime(y) ** 2),
+    }
 
 
 def _refined_trapz_sq(values_fn, lo, hi, n):
     x = np.linspace(lo, hi, n)
-    f = values_fn(x)
     h = (hi - lo) / (n - 1)
-    s = float(np.sum(f * f))
-    return h * (s - 0.5 * f[0] * f[0] - 0.5 * f[-1] * f[-1])
+    s = 0.0
+    for start in range(0, n, BLOCK_POINTS):
+        f = values_fn(x[start : start + BLOCK_POINTS])
+        s += float(np.sum(f * f))
+    ends = values_fn(x[[0, -1]])
+    return h * (s - 0.5 * ends[0] * ends[0] - 0.5 * ends[1] * ends[1])
 
 
 def i0_squared(data: InitialData, a0: float) -> OracleResult:
@@ -124,6 +205,7 @@ def i0_squared(data: InitialData, a0: float) -> OracleResult:
     The antiderivative norm uses a dense trapezoid over the support with a
     refinement step as the error estimate; smooth compactly supported
     integrands make this converge far below the tolerances the bounds use.
+    The trapezoid samples in blocks of ``BLOCK_POINTS`` nodes.
     """
     L = data.support_radius
     v1 = _v1_evaluator(data)

@@ -65,3 +65,27 @@ def test_backends_are_bit_identical():
 
 def test_backend_name_is_reported():
     assert BACKEND in ("compiled", "python")
+
+
+def plain_expression_steps(u_prev, u_curr, lam2, left=None, right=None):
+    """The stencil as one numpy expression per step, fresh temporaries."""
+    a, b = u_prev.copy(), u_curr.copy()
+    for s, lam in enumerate(lam2):
+        c = np.empty_like(b)
+        c[1:-1] = 2.0 * b[1:-1] - a[1:-1] + lam * (b[2:] - 2.0 * b[1:-1] + b[:-2])
+        c[0] = 0.0 if left is None else left[s]
+        c[-1] = 0.0 if right is None else right[s]
+        a, b = b, c
+    return a, b
+
+
+@pytest.mark.parametrize("with_edges", [False, True])
+def test_scratch_buffers_are_bit_identical_to_the_plain_expression(with_edges):
+    u, _ = bump_field(n=2001, half_width=6.0)
+    prev = 0.97 * u
+    lam2 = 0.5 + 0.3 * np.sin(np.linspace(0.0, 3.0, 400)) ** 2
+    edges = (np.linspace(0.0, 1e-3, 400), np.linspace(0.0, -2e-3, 400)) if with_edges else ()
+    a_ref, b_ref = plain_expression_steps(prev, u, lam2, *edges)
+    a_new, b_new = reference.advance_steps(prev.copy(), u.copy(), lam2, *edges)
+    assert np.array_equal(a_ref, a_new)
+    assert np.array_equal(b_ref, b_new)

@@ -1,17 +1,35 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavebound.errors import OracleError
-from wavebound.initial_data import bump, get_data
+from wavebound.errors import AccuracyError, OracleError
+from wavebound.initial_data import InitialData, bump, get_data
 from wavebound.oracles import (
+    BLOCK_POINTS,
+    _v1_evaluator,
     bump_constants,
     convergence_order,
     dalembert,
     fourier_growth_slope,
     i0_squared,
 )
+
+FAMILIES = ("bump", "bump-velocity", "odd-velocity", "derivative-velocity")
+
+
+def dense_v1(data, n=1 << 15):
+    """Nodes and cumulative composite Simpson of u1 over the support, with
+    ``n`` Simpson pairs: an independent reference for the antiderivative."""
+    L = data.support_radius
+    x = np.linspace(-L, L, 2 * n + 1)
+    f = np.asarray(data.u1(x), dtype=float)
+    h = x[1] - x[0]
+    pairs = h / 3.0 * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
+    return x[::2], np.concatenate(([0.0], np.cumsum(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +110,119 @@ def test_dalembert_speed_generalization():
     assert np.allclose(dalembert(data, 2.0, x, speed=2.0), dalembert(data, 4.0, x, speed=1.0), atol=1e-14)
     with pytest.raises(OracleError):
         dalembert(data, 1.0, 0.0, speed=0.0)
+
+
+# ---------------------------------------------------------------------------
+# velocity antiderivative without a closed form
+# ---------------------------------------------------------------------------
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    scale=st.floats(0.5, 2.0),
+    shift=st.floats(-0.5, 0.5),
+    width=st.floats(0.25, 2.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_v1_matches_dense_cumulative_simpson(family, scale, shift, width):
+    # every family through the numerical path, closed form or not
+    data = dataclasses.replace(
+        get_data(family, scale=scale, shift=shift, width=width), v1_exact=None
+    )
+    nodes, ref = dense_v1(data)
+    v1 = _v1_evaluator(data)
+    L = data.support_radius
+    assert np.max(np.abs(v1(nodes[::16]) - ref[::16])) <= 1e-10
+    assert v1(-L - 1.0) == 0.0
+    assert abs(v1(L + 1.0) - ref[-1]) <= 1e-10
+
+
+def test_v1_bisects_panels_for_narrow_far_shifted_data():
+    # the bump spans 40 of the 4096 equal panels: a few of them must be
+    # bisected before the two Gauss orders agree
+    data = get_data("odd-velocity", scale=2.0, shift=10.0, width=0.1)
+    nodes, ref = dense_v1(data, n=1 << 17)
+    assert np.max(np.abs(_v1_evaluator(data)(nodes) - ref)) <= 1e-10
+
+
+def test_v1_query_order_duplicates_outside_and_scalar():
+    data = get_data("bump-velocity", scale=1.3, shift=0.2)
+    v1 = _v1_evaluator(data)
+    L = data.support_radius
+    xs = np.array([0.9, -3.0, 0.1, L, 0.1, -L, -0.5, 5.0, 0.9, 0.33])
+    vals = v1(xs)
+    order = np.argsort(xs)
+    assert np.allclose(vals[order], v1(xs[order]), rtol=0.0, atol=1e-16)
+    assert vals[2] == vals[4] and vals[0] == vals[8]
+    assert vals[1] == 0.0 and vals[5] == 0.0
+    total = 1.3 * bump_constants()["integral"]
+    assert vals[3] == vals[7] and vals[7] == pytest.approx(total, rel=1e-12)
+    assert np.all(np.diff(vals[order]) >= 0.0)  # positive velocity
+    scalar = v1(0.33)
+    assert type(scalar) is float and scalar == pytest.approx(vals[-1], abs=1e-16)
+
+
+@pytest.mark.parametrize("a0", [1.0, 2.0])
+def test_i0_squared_odd_velocity_matches_dense_rule(a0):
+    data = get_data("odd-velocity")
+    nodes, v1 = dense_v1(data)
+    # V1 vanishes at both ends: the trapezoid of V1^2 is spectrally accurate
+    h = nodes[1] - nodes[0]
+    expect = h * float(np.sum(v1 * v1))
+    res = i0_squared(data, a0)
+    assert res.value == pytest.approx(expect, rel=1e-10)
+    assert res.error_estimate <= 1e-12 * res.value
+
+
+def test_sampler_calls_stay_within_the_block():
+    data = get_data("odd-velocity", scale=1.5, shift=0.3)
+    sizes = []
+
+    def u1(x):
+        sizes.append(np.size(x))
+        assert np.size(x) <= BLOCK_POINTS
+        return data.u1(x)
+
+    wrapped = dataclasses.replace(data, u1=u1)
+    i0_squared(wrapped, 2.0)
+    dalembert(wrapped, 0.7, np.linspace(-4.0, 4.0, 20001))
+    assert max(sizes) <= BLOCK_POINTS
+    # whole-array blocks, not one call per point
+    assert len(sizes) < 1000
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", ["odd-velocity", "derivative-velocity"])
+def test_blocks_bound_the_temporaries(family):
+    # working memory beyond the one full-length array each call must hold
+    # (the result, the trapezoid nodes) stays below another full length
+    full = 8 * ((1 << 17) + 1)
+    data = get_data(family, scale=1.5, shift=0.3)
+    v1 = _v1_evaluator(data)  # imports the Gauss rules outside the trace
+    if data.v1_exact is None:
+        x = np.linspace(-2.0, 2.0, (1 << 17) + 1)
+        assert traced_peak(lambda: v1(x)) < 2 * full
+    assert traced_peak(lambda: i0_squared(data, 2.0)) < 2 * full
+
+
+def test_v1_raises_on_a_jump_inside_the_support():
+    def u1(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) < 1.0, np.where(x > 0.3, 1.0, -0.5), 0.0)
+
+    data = InitialData("jump", u0=u1, u1=u1, support_radius=1.0)
+    with pytest.raises(AccuracyError) as err:
+        _v1_evaluator(data)
+    assert err.value.achieved == pytest.approx(0.7 - 0.5 * 1.3, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
