@@ -25,11 +25,6 @@ from wavebound.grids import GridSpec, centered_diff, cumtrapz, trapz_sq
 from wavebound.initial_data import InitialData, MomentReport
 
 BOUND_LABELS = ("Thm1.1", "Cor1.1", "Cor1.2")
-_CSV_BOUND_COLUMNS = {
-    "Thm1.1": "bound_thm11",
-    "Cor1.1": "bound_cor11",
-    "Cor1.2": "bound_cor12",
-}
 
 CSV_COLUMNS = (
     "t",
@@ -64,7 +59,6 @@ class DiagnosticSeries:
     profile: CoefficientProfile
     data: InitialData
     grid: GridSpec
-    config: object = None
     recon_rel_err: list = field(default_factory=list)
     cone_ok: bool = True
     dual_v_max_rel_err: Optional[float] = None
@@ -124,27 +118,6 @@ def l2_norm_sq(fld: np.ndarray, grid: GridSpec) -> float:
             f"field length {fld.shape} does not match the grid ({grid.n_points})"
         )
     return trapz_sq(fld, grid.h)
-
-
-def energy_u(
-    state,
-    profile: CoefficientProfile,
-    grid: GridSpec,
-    u_next: Optional[np.ndarray] = None,
-) -> float:
-    """Total energy 0.5 (||u_t||^2 + a(t)^2 ||u_x||^2) at the state's time.
-
-    u_t is the centered difference across (u_prev, u_next) when the next
-    level is supplied, otherwise the backward difference of the two levels
-    the state holds.
-    """
-    a_t, _ = evaluate(profile, state.t)
-    if u_next is not None:
-        u_t = (u_next - state.u_prev) / (2.0 * grid.dt)
-    else:
-        u_t = (state.u_curr - state.u_prev) / grid.dt
-    u_x = centered_diff(state.u_curr, grid.h)
-    return 0.5 * (trapz_sq(u_t, grid.h) + a_t * a_t * trapz_sq(u_x, grid.h))
 
 
 def _record_from_fields(t, u_curr, u_t, v_curr, v_t, a_t, ap_t, grid):

@@ -119,14 +119,8 @@ def _classification_horizon(config: ExperimentConfig) -> float:
 
 
 def _experiment(config: ExperimentConfig, archive_path=None, dual_v=False):
-    profile = get_profile(config.profile)
-    data = get_data(
-        config.data,
-        scale=config.data_scale,
-        shift=config.data_shift,
-        width=config.data_width,
-    )
     series = solver.run(config, archive_path=archive_path, dual_v_check=dual_v)
+    profile, data = series.profile, series.data
     horizon = _classification_horizon(config)
     flags = classify(profile, horizon)
     report = bound_constant(data, profile.a0, series.grid)
@@ -319,17 +313,16 @@ def cmd_converge(config: ExperimentConfig, levels: int = 3) -> int:
         )
     speed = get_profile(config.profile).a0
     os.makedirs(config.output_dir, exist_ok=True)
+    data = get_data(
+        config.data,
+        scale=config.data_scale,
+        shift=config.data_shift,
+        width=config.data_width,
+    )
     rows = []
     for k in range(levels):
         n_k = (config.n_points - 1) * (2**k) + 1
-        cfg_k = dataclasses.replace(config, n_points=n_k).validate()
-        grid, u_num = solver.evolve_final(cfg_k)
-        data = get_data(
-            config.data,
-            scale=config.data_scale,
-            shift=config.data_shift,
-            width=config.data_width,
-        )
+        grid, u_num = solver.evolve_final(dataclasses.replace(config, n_points=n_k))
         u_exact = dalembert(data, config.t_end, grid.x, speed=speed)
         err = math.sqrt(analysis.l2_norm_sq(u_num - u_exact, grid))
         rows.append({"n_points": n_k, "h": grid.h, "l2_error": err})
@@ -355,9 +348,8 @@ def cmd_growth(config: ExperimentConfig) -> int:
     payload["growth"] = growth
 
     oracle_section = None
-    prof = config.profile.strip().lower()
-    if prof.startswith("const:"):
-        result = fourier_growth_slope(ex["data"], speed=get_profile(prof).a0)
+    if config.profile.strip().lower().startswith("const:"):
+        result = fourier_growth_slope(ex["data"], speed=ex["profile"].a0)
         oracle_section = {
             "value": result.value,
             "error_estimate": result.error_estimate,

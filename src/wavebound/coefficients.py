@@ -141,7 +141,7 @@ def classify(
     )
 
 
-def w_log_ratio(profile: CoefficientProfile, t: float, crosscheck: bool = True) -> float:
+def w_log_ratio(profile: CoefficientProfile, t: float) -> float:
     """Integrated logarithmic derivative, log(a(t) / a(0)).
 
     The closed form is cross-checked against adaptive quadrature of a'/a,
@@ -150,7 +150,7 @@ def w_log_ratio(profile: CoefficientProfile, t: float, crosscheck: bool = True) 
     a_t, _ = evaluate(profile, t)
     a_0 = profile.a0
     w = math.log(a_t / a_0)
-    if crosscheck and t > 0.0:
+    if t > 0.0:
         quad = adaptive_simpson_chunked(
             lambda s: float(profile.a_prime(s)) / float(profile.a(s)), 0.0, t
         )

@@ -11,7 +11,7 @@ outside the stated support radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,7 +58,6 @@ class InitialData:
     support_radius: float
     # exact antiderivative of u1 when the family has one in closed form
     v1_exact: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -129,14 +128,13 @@ def bound_constant(data: InitialData, a0: float, grid: GridSpec) -> MomentReport
 # ---------------------------------------------------------------------------
 
 
-def _family(name, scale, shift, width, u0, u1, v1_exact=None):
+def _family(name, shift, width, u0, u1, v1_exact=None):
     return InitialData(
         name=name,
         u0=u0,
         u1=u1,
         support_radius=abs(shift) + width,
         v1_exact=v1_exact,
-        params={"scale": scale, "shift": shift, "width": width},
     )
 
 
@@ -146,7 +144,7 @@ def bump_data(scale=1.0, shift=0.0, width=1.0) -> InitialData:
     def u0(x):
         return scale * bump((np.asarray(x, dtype=float) - shift) / width)
 
-    return _family("bump", scale, shift, width, u0, _zero, v1_exact=_zero)
+    return _family("bump", shift, width, u0, _zero, v1_exact=_zero)
 
 
 def bump_velocity_data(scale=1.0, shift=0.0, width=1.0) -> InitialData:
@@ -155,7 +153,7 @@ def bump_velocity_data(scale=1.0, shift=0.0, width=1.0) -> InitialData:
     def u1(x):
         return scale * bump((np.asarray(x, dtype=float) - shift) / width)
 
-    return _family("bump-velocity", scale, shift, width, _zero, u1)
+    return _family("bump-velocity", shift, width, _zero, u1)
 
 
 def odd_velocity_data(scale=1.0, shift=0.0, width=1.0) -> InitialData:
@@ -165,7 +163,7 @@ def odd_velocity_data(scale=1.0, shift=0.0, width=1.0) -> InitialData:
         y = (np.asarray(x, dtype=float) - shift) / width
         return scale * y * bump(y)
 
-    return _family("odd-velocity", scale, shift, width, _zero, u1)
+    return _family("odd-velocity", shift, width, _zero, u1)
 
 
 def derivative_velocity_data(scale=1.0, shift=0.0, width=1.0) -> InitialData:
@@ -179,7 +177,7 @@ def derivative_velocity_data(scale=1.0, shift=0.0, width=1.0) -> InitialData:
         y = (np.asarray(x, dtype=float) - shift) / width
         return scale * bump(y)
 
-    return _family("derivative-velocity", scale, shift, width, _zero, u1, v1_exact=v1)
+    return _family("derivative-velocity", shift, width, _zero, u1, v1_exact=v1)
 
 
 _FAMILIES = {

@@ -3,7 +3,8 @@
 The compiled extension is preferred when it imported successfully at build
 time; otherwise the numpy reference implementation is used. Both produce
 bit-identical fields. Set WAVEBOUND_KERNEL=python or =compiled to force a
-backend (the benchmark and the parity tests use this).
+backend, for example to run the test suite on the fallback kernel; the
+parity tests import both backends directly instead.
 """
 
 import os

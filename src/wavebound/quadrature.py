@@ -11,6 +11,8 @@ from wavebound.errors import AccuracyError
 
 DEFAULT_TOL = 1e-10
 MAX_DEPTH = 60
+# longest chunk adaptive_simpson_chunked adapts over
+CHUNK_LENGTH = 1.0
 
 
 def _simpson(f, a, b, fa, fm, fb):
@@ -67,17 +69,17 @@ def adaptive_simpson(f, a, b, tol=DEFAULT_TOL, max_depth=MAX_DEPTH):
     return total
 
 
-def adaptive_simpson_chunked(f, a, b, tol=DEFAULT_TOL, max_interval=1.0):
+def adaptive_simpson_chunked(f, a, b, tol=DEFAULT_TOL):
     """Adaptive Simpson with a pre-split into bounded-length chunks.
 
     The single-interval rule can alias oscillatory or kinked integrands (its
     first probes may agree by chance on a long interval). Splitting into
-    chunks no longer than ``max_interval`` before adapting removes that
+    chunks no longer than ``CHUNK_LENGTH`` before adapting removes that
     failure mode; the tolerance is divided across chunks.
     """
     if b < a:
-        return -adaptive_simpson_chunked(f, b, a, tol=tol, max_interval=max_interval)
-    n_chunks = min(max(1, int(math.ceil((b - a) / max_interval))), 4096)
+        return -adaptive_simpson_chunked(f, b, a, tol=tol)
+    n_chunks = min(max(1, int(math.ceil((b - a) / CHUNK_LENGTH))), 4096)
     edges = [a + (b - a) * k / n_chunks for k in range(n_chunks + 1)]
     chunk_tol = tol / n_chunks
     total = 0.0

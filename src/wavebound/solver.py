@@ -6,6 +6,13 @@ propagation cone (one cell per step) never reaches the truncated boundary,
 which makes the homogeneous edge values exactly inert for compactly
 supported data: the field stays machine-zero outside the cone.
 
+Every experiment goes through one pipeline. ``_resolve`` validates the
+config and turns it into the profile, the data, the grid, the sampled
+initial levels and the squared Courant factors; ``first_step`` makes the
+Taylor start; ``advance`` steps the field and names the first step that
+left it non-finite. ``run`` adds the snapshot diagnostics and
+``evolve_final`` returns only the field at t_end.
+
 A snapshot carries three consecutive levels so time derivatives can be
 centered, plus the antiderivative field recomputed from the current level by
 cumulative trapezoid. An optional cross-check also evolves the antiderivative
@@ -15,13 +22,12 @@ field with the same stencil from its own initial data and compares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from wavebound import analysis
-from wavebound.coefficients import CoefficientProfile, evaluate, get_profile
+from wavebound.coefficients import CoefficientProfile, get_profile
 from wavebound.config import ExperimentConfig, MAX_POINTS, CFL_CEIL
 from wavebound.errors import BlowUpError, CapacityError, ConfigError
 from wavebound.grids import GridSpec, cumtrapz, second_diff, trapz, trapz_sq
@@ -31,26 +37,12 @@ from wavebound.kernels import advance_steps
 # extra cells between the cone after the final step and the boundary
 _CONE_PAD = 2
 
-
-@dataclass
-class WaveState:
-    """Three-level view of the discrete field at one time."""
-
-    t: float
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-    v_curr: Optional[np.ndarray]
-    step_index: int
-
-    def antiderivative(self, grid: GridSpec) -> np.ndarray:
-        """Cumulative trapezoid of the current level, computed lazily."""
-        if self.v_curr is None:
-            self.v_curr = cumtrapz(self.u_curr, grid.h)
-        return self.v_curr
+# speed samples on [0, t_end] for the grid's supremum speed
+_SUP_SAMPLES = 4096
 
 
-def _window_sup_speed(profile: CoefficientProfile, t_end: float, samples=4096) -> float:
-    t = np.linspace(0.0, max(t_end, 1e-9), samples)
+def _window_sup_speed(profile: CoefficientProfile, t_end: float) -> float:
+    t = np.linspace(0.0, max(t_end, 1e-9), _SUP_SAMPLES)
     return float(np.max(np.asarray(profile.a(t), dtype=float)))
 
 
@@ -108,35 +100,78 @@ def init_grid(
     return grid
 
 
-def first_step(data: InitialData, profile: CoefficientProfile, grid: GridSpec) -> WaveState:
-    """Second-order Taylor start: the field at t = dt from (u0, u1)."""
-    x = grid.x
-    u0 = np.asarray(data.u0(x), dtype=float)
-    u1 = np.asarray(data.u1(x), dtype=float)
-    a0, _ = evaluate(profile, 0.0)
-    u_next = u0 + grid.dt * u1 + 0.5 * grid.dt**2 * a0 * a0 * second_diff(u0, grid.h)
-    u_next[0] = 0.0
-    u_next[-1] = 0.0
-    return WaveState(t=grid.dt, u_prev=u0, u_curr=u_next, v_curr=None, step_index=1)
+class _Experiment(NamedTuple):
+    """A config resolved once: everything the stepping needs."""
+
+    profile: CoefficientProfile
+    data: InitialData
+    grid: GridSpec
+    u0: np.ndarray
+    u1: np.ndarray
+    # squared Courant factor frozen at each level 0..n_steps
+    lam2: np.ndarray
 
 
-def step(state: WaveState, profile: CoefficientProfile, grid: GridSpec) -> WaveState:
-    """Advance one step; raises BlowUpError on a non-finite result."""
-    a_t, _ = evaluate(profile, state.t)
-    lam2 = np.array([(a_t * grid.dt / grid.h) ** 2])
-    u_prev, u_curr = advance_steps(state.u_prev.copy(), state.u_curr.copy(), lam2)
-    if not np.all(np.isfinite(u_curr)):
+def _resolve(config: ExperimentConfig) -> _Experiment:
+    """Validate a config and build its profile, data, grid and Courant factors.
+
+    The factors cover levels 0..n_steps: the final snapshot takes one extra
+    step past t_end for its centered time derivative.
+    """
+    config.validate()
+    profile = get_profile(config.profile)
+    data = get_data(
+        config.data,
+        scale=config.data_scale,
+        shift=config.data_shift,
+        width=config.data_width,
+    )
+    grid = init_grid(data, profile, config.t_end, cfl=config.cfl, n_points=config.n_points)
+    t_levels = np.arange(grid.n_steps + 1) * grid.dt
+    a_levels = np.asarray(profile.a(t_levels), dtype=float)
+    if not np.all(np.isfinite(a_levels)):
+        bad = int(np.argmax(~np.isfinite(a_levels)))
         raise BlowUpError(
-            f"non-finite field at step {state.step_index + 1} "
-            f"(t={state.t + grid.dt:.6g}); check the CFL number and the profile",
-            step_index=state.step_index + 1,
+            f"profile produced a non-finite speed at t={t_levels[bad]:.6g}",
+            step_index=bad,
         )
-    return WaveState(
-        t=state.t + grid.dt,
-        u_prev=u_prev,
-        u_curr=u_curr,
-        v_curr=None,
-        step_index=state.step_index + 1,
+    return _Experiment(
+        profile=profile,
+        data=data,
+        grid=grid,
+        u0=np.asarray(data.u0(grid.x), dtype=float),
+        u1=np.asarray(data.u1(grid.x), dtype=float),
+        lam2=(a_levels * grid.dt / grid.h) ** 2,
+    )
+
+
+def first_step(f0: np.ndarray, f1: np.ndarray, a0: float, grid: GridSpec) -> np.ndarray:
+    """Second-order Taylor start: the level at t = dt from (f0, f1), zero edges."""
+    f_next = f0 + grid.dt * f1 + 0.5 * grid.dt**2 * a0 * a0 * second_diff(f0, grid.h)
+    f_next[0] = 0.0
+    f_next[-1] = 0.0
+    return f_next
+
+
+def advance(u_prev: np.ndarray, u_curr: np.ndarray, lam2: np.ndarray, level: int):
+    """Advance len(lam2) steps from ``level``; return the new (previous, current).
+
+    The inputs are left unchanged. A non-finite result is replayed one step
+    at a time, and BlowUpError names the first level that is not finite.
+    """
+    new_prev, new_curr = advance_steps(u_prev.copy(), u_curr.copy(), lam2)
+    if np.all(np.isfinite(new_curr)) and np.all(np.isfinite(new_prev)):
+        return new_prev, new_curr
+    bad = level + len(lam2)
+    a, b = u_prev.copy(), u_curr.copy()
+    for k in range(len(lam2)):
+        a, b = advance_steps(a, b, lam2[k : k + 1])
+        if not np.all(np.isfinite(b)):
+            bad = level + k + 1
+            break
+    raise BlowUpError(
+        f"non-finite field at step {bad}; check the CFL number and the profile",
+        step_index=bad,
     )
 
 
@@ -144,18 +179,7 @@ def _snapshot_levels(n_steps: int, snapshots: int) -> np.ndarray:
     if n_steps == 0:
         return np.array([0], dtype=int)
     count = max(2, min(snapshots, n_steps + 1))
-    levels = np.unique(np.rint(np.linspace(0, n_steps, count)).astype(int))
-    return levels
-
-
-def _find_blowup_step(u_prev, u_curr, lam2, start_level: int) -> int:
-    """Replay a failed batch one step at a time to locate the bad step."""
-    a, b = u_prev.copy(), u_curr.copy()
-    for k in range(len(lam2)):
-        a, b = advance_steps(a, b, lam2[k : k + 1])
-        if not np.all(np.isfinite(b)):
-            return start_level + k + 1
-    return start_level + len(lam2)
+    return np.unique(np.rint(np.linspace(0, n_steps, count)).astype(int))
 
 
 def run(
@@ -171,23 +195,12 @@ def run(
     cumulative trapezoid, and the cone containment is verified to be
     machine-exact. Identical configs produce bit-identical series.
     """
-    config.validate()
-    profile = get_profile(config.profile)
-    data = get_data(
-        config.data,
-        scale=config.data_scale,
-        shift=config.data_shift,
-        width=config.data_width,
-    )
-    grid = init_grid(data, profile, config.t_end, cfl=config.cfl, n_points=config.n_points)
-    x = grid.x
-    u0 = np.asarray(data.u0(x), dtype=float)
-    u1 = np.asarray(data.u1(x), dtype=float)
+    profile, data, grid, u0, u1, lam2 = _resolve(config)
 
     archive = open(archive_path, "w", encoding="utf-8") if archive_path else None
     try:
         series = analysis.DiagnosticSeries(
-            records=[], profile=profile, data=data, grid=grid, config=config
+            records=[], profile=profile, data=data, grid=grid
         )
         rec0, recon0 = analysis.initial_record(u0, u1, profile, grid)
         series.records.append(rec0)
@@ -200,43 +213,19 @@ def run(
             series.finalize()
             return series
 
-        # squared Courant factors for levels 0..n_steps (the final snapshot
-        # takes one extra step past t_end)
-        t_levels = np.arange(grid.n_steps + 1) * grid.dt
-        a_levels = np.asarray(profile.a(t_levels), dtype=float)
-        if not np.all(np.isfinite(a_levels)):
-            bad = int(np.argmax(~np.isfinite(a_levels)))
-            raise BlowUpError(
-                f"profile produced a non-finite speed at t={t_levels[bad]:.6g}",
-                step_index=bad,
-            )
-        lam2 = (a_levels * grid.dt / grid.h) ** 2
-
-        state = first_step(data, profile, grid)
-        u_prev, u_curr = state.u_prev, state.u_curr
-
-        dual = _DualVState(u0, u1, profile, grid) if dual_v_check else None
+        u_prev, u_curr = u0, first_step(u0, u1, profile.a0, grid)
+        dual = _DualVState(u0, u1, profile.a0, grid) if dual_v_check else None
 
         level = 1
         for target in _snapshot_levels(grid.n_steps, config.snapshots)[1:]:
             target = int(target)
             if target > level:
-                batch = lam2[level:target]
-                start_prev, start_curr = u_prev.copy(), u_curr.copy()
-                u_prev, u_curr = advance_steps(u_prev, u_curr, batch)
-                if not np.all(np.isfinite(u_curr)) or not np.all(np.isfinite(u_prev)):
-                    bad = _find_blowup_step(start_prev, start_curr, batch, level)
-                    raise BlowUpError(
-                        f"non-finite field at step {bad} (t={bad * grid.dt:.6g}); "
-                        "check the CFL number and the profile",
-                        step_index=bad,
-                    )
+                u_prev, u_curr = advance(u_prev, u_curr, lam2[level:target], level)
                 if dual is not None:
                     dual.advance(level, target, lam2)
                 level = target
             # one extra step on scratch copies for the centered time derivative
-            p2, c2 = advance_steps(u_prev.copy(), u_curr.copy(), lam2[level : level + 1])
-            u_next = c2
+            _, u_next = advance_steps(u_prev.copy(), u_curr.copy(), lam2[level : level + 1])
             t_here = level * grid.dt
             rec, recon = analysis.snapshot_record(
                 t_here, u_prev, u_curr, u_next, profile, grid
@@ -263,25 +252,11 @@ def evolve_final(config: ExperimentConfig):
     Used by the convergence command, which only needs the terminal field to
     compare against the closed-form solution.
     """
-    config.validate()
-    profile = get_profile(config.profile)
-    data = get_data(
-        config.data,
-        scale=config.data_scale,
-        shift=config.data_shift,
-        width=config.data_width,
-    )
-    grid = init_grid(data, profile, config.t_end, cfl=config.cfl, n_points=config.n_points)
+    profile, _, grid, u0, u1, lam2 = _resolve(config)
     if grid.n_steps == 0:
-        return grid, np.asarray(data.u0(grid.x), dtype=float)
-    t_levels = np.arange(1, grid.n_steps) * grid.dt
-    a_levels = np.asarray(profile.a(t_levels), dtype=float)
-    lam2 = (a_levels * grid.dt / grid.h) ** 2
-    state = first_step(data, profile, grid)
-    u_prev, u_curr = advance_steps(state.u_prev, state.u_curr, lam2)
-    if not np.all(np.isfinite(u_curr)):
-        raise BlowUpError("non-finite field before t_end", step_index=grid.n_steps)
-    return grid, u_curr
+        return grid, u0
+    _, u_final = advance(u0, first_step(u0, u1, profile.a0, grid), lam2[1 : grid.n_steps], 1)
+    return grid, u_final
 
 
 def _cone_exact(u: np.ndarray, data: InitialData, grid: GridSpec, level: int) -> bool:
@@ -294,7 +269,7 @@ def _cone_exact(u: np.ndarray, data: InitialData, grid: GridSpec, level: int) ->
 def _write_archive_record(fh, t: float, u: np.ndarray):
     # node values left to right, full round-trip precision
     fh.write(f"t={t!r}\n")
-    fh.write(" ".join(repr(float(val)) for val in u))
+    fh.write(" ".join(map(repr, u.tolist())))
     fh.write("\n")
 
 
@@ -308,18 +283,15 @@ class _DualVState:
     snapshots exercises the reconstruction structure end to end.
     """
 
-    def __init__(self, u0, u1, profile, grid):
+    def __init__(self, u0, u1, a0, grid):
         self.grid = grid
         v0 = cumtrapz(u0, grid.h)
         v1 = cumtrapz(u1, grid.h)
         self.mass0 = trapz(u0, grid.h)
         self.c0 = trapz(u1, grid.h)
-        a0, _ = evaluate(profile, 0.0)
-        v_next = v0 + grid.dt * v1 + 0.5 * grid.dt**2 * a0 * a0 * second_diff(v0, grid.h)
-        v_next[0] = 0.0
-        v_next[-1] = self.mass0 + grid.dt * self.c0
         self.v_prev = v0
-        self.v_curr = v_next
+        self.v_curr = first_step(v0, v1, a0, grid)
+        self.v_curr[-1] = self.mass0 + grid.dt * self.c0
         self.max_rel_err = 0.0
 
     def advance(self, level_from: int, level_to: int, lam2: np.ndarray):

@@ -66,8 +66,9 @@ def test_energy_u_zero_state():
     data = get_data("bump", scale=0.0)
     prof = get_profile("const:1")
     grid = solver.init_grid(data, prof, 1.0, n_points=501)
-    state = solver.first_step(data, prof, grid)
-    assert analysis.energy_u(state, prof, grid) == 0.0
+    u0 = np.asarray(data.u0(grid.x), dtype=float)
+    rec, _ = analysis.initial_record(u0, np.zeros_like(u0), prof, grid)
+    assert rec.E_u == 0.0
 
 
 def test_energy_u_initial_bump_is_half_gradient_norm():
@@ -75,9 +76,8 @@ def test_energy_u_initial_bump_is_half_gradient_norm():
     prof = get_profile("const:1")
     grid = solver.init_grid(data, prof, 1.0, n_points=4001)
     u0 = np.asarray(data.u0(grid.x), dtype=float)
-    state = solver.WaveState(t=0.0, u_prev=u0, u_curr=u0, v_curr=None, step_index=0)
-    e = analysis.energy_u(state, prof, grid)  # u_t = 0 backward difference
-    assert e == pytest.approx(0.5 * bump_constants()["prime_l2_sq"], rel=1e-3)
+    rec, _ = analysis.initial_record(u0, np.zeros_like(u0), prof, grid)  # at rest
+    assert rec.E_u == pytest.approx(0.5 * bump_constants()["prime_l2_sq"], rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

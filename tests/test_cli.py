@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -301,3 +303,49 @@ def test_summary_config_round_trips_to_identical_csv(tmp_path):
 
     assert cmd_simulate(cfg2) == 0
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
+
+
+# series.csv of the reference simulate job below; perfbench/workloads.py
+# records the same digest for the benchmark's first job
+REFERENCE_SERIES_SHA256 = "0daf50691e0ec8cfc435cbb54b47bc54bd3266b5994510cd11118c9761b1520d"
+
+
+def test_reference_series_csv_is_byte_identical(tmp_path, capsys):
+    out = tmp_path / "ref"
+    code = run_cli(
+        "simulate", "--profile", "example1", "--data", "derivative-velocity",
+        "--t-end", "50", "--n-points", "4001", "--out", str(out),
+    )
+    assert code == 0
+    digest = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
+    assert digest == REFERENCE_SERIES_SHA256
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_command_resolves_profile_and_data_once(tmp_path, monkeypatch, capsys, command):
+    from wavebound.coefficients import get_profile
+    from wavebound.initial_data import get_data
+
+    calls = {"get_profile": 0, "get_data": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # patch every module that bound the functions, wherever they are called from
+    for mod_name, mod in list(sys.modules.items()):
+        if not mod_name.startswith("wavebound") or mod is None:
+            continue
+        for name, fn in (("get_profile", get_profile), ("get_data", get_data)):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    code = run_cli(
+        command, "--profile", "example2a", "--data", "odd-velocity",
+        "--t-end", "2", "--n-points", "501", "--snapshots", "10",
+        "--out", str(tmp_path / command),
+    )
+    assert code == 0
+    assert calls == {"get_profile": 1, "get_data": 1}

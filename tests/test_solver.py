@@ -9,6 +9,7 @@ from wavebound.coefficients import get_profile
 from wavebound.errors import BlowUpError, CapacityError, ConfigError
 from wavebound.grids import GridSpec, cumtrapz, second_diff
 from wavebound.initial_data import get_data
+from wavebound.kernels import advance_steps
 from wavebound.oracles import bump_constants, convergence_order, dalembert
 
 
@@ -56,46 +57,40 @@ def test_memory_budget_enforced():
 
 
 # ---------------------------------------------------------------------------
-# first step and single steps
+# first step and checked stepping
 # ---------------------------------------------------------------------------
+
+
+def _initial_levels(data, grid):
+    return np.asarray(data.u0(grid.x), dtype=float), np.asarray(data.u1(grid.x), dtype=float)
 
 
 def test_first_step_zero_data():
     data = get_data("bump", scale=0.0)
     prof = get_profile("const:1")
     grid = solver.init_grid(data, prof, 1.0, n_points=501)
-    state = solver.first_step(data, prof, grid)
-    assert np.all(state.u_curr == 0.0)
-    assert state.t == grid.dt and state.step_index == 1
+    u1_level = solver.first_step(*_initial_levels(data, grid), prof.a0, grid)
+    assert u1_level.shape == (501,)
+    assert np.all(u1_level == 0.0)
 
 
 def test_first_step_displacement_taylor_formula():
     data = get_data("bump")
     prof = get_profile("const:1")
     grid = solver.init_grid(data, prof, 1.0, n_points=1001)
-    state = solver.first_step(data, prof, grid)
-    u0 = np.asarray(data.u0(grid.x), dtype=float)
+    u0, u1 = _initial_levels(data, grid)
+    u1_level = solver.first_step(u0, u1, prof.a0, grid)
     expect = u0 + 0.5 * grid.dt**2 * second_diff(u0, grid.h)
     expect[0] = expect[-1] = 0.0
-    assert np.array_equal(state.u_curr, expect)
+    assert np.array_equal(u1_level, expect)
 
 
 def test_first_step_velocity_only_is_linear():
     data = get_data("bump-velocity")
     prof = get_profile("const:1")
     grid = solver.init_grid(data, prof, 1.0, n_points=1001)
-    state = solver.first_step(data, prof, grid)
-    assert np.allclose(state.u_curr, grid.dt * np.asarray(data.u1(grid.x)), rtol=0, atol=0)
-
-
-def test_step_preserves_zero_state():
-    data = get_data("bump", scale=0.0)
-    prof = get_profile("const:1")
-    grid = solver.init_grid(data, prof, 1.0, n_points=501)
-    state = solver.first_step(data, prof, grid)
-    nxt = solver.step(state, prof, grid)
-    assert np.all(nxt.u_curr == 0.0)
-    assert nxt.step_index == 2
+    u1_level = solver.first_step(*_initial_levels(data, grid), prof.a0, grid)
+    assert np.allclose(u1_level, grid.dt * np.asarray(data.u1(grid.x)), rtol=0, atol=0)
 
 
 def test_unstable_time_step_blows_up_with_index():
@@ -109,11 +104,24 @@ def test_unstable_time_step_blows_up_with_index():
         cfl=1.5,
         n_steps=1500,
     )
-    state = solver.first_step(data, prof, bad)
-    with pytest.raises(BlowUpError) as info:
-        for _ in range(1500):
-            state = solver.step(state, prof, bad)
-    assert info.value.step_index > 1
+    u0, u1 = _initial_levels(data, bad)
+    u1_level = solver.first_step(u0, u1, prof.a0, bad)
+    with pytest.raises(BlowUpError) as info, np.errstate(over="ignore", invalid="ignore"):
+        solver.advance(u0, u1_level, np.full(1500, 2.25), 1)
+    assert info.value.step_index == 377
+
+
+def test_advance_leaves_inputs_and_matches_kernel():
+    data, prof = get_data("odd-velocity"), get_profile("example2a")
+    grid = solver.init_grid(data, prof, 2.0, n_points=501)
+    u0, u1 = _initial_levels(data, grid)
+    u1_level = solver.first_step(u0, u1, prof.a0, grid)
+    lam2 = np.full(grid.n_steps - 1, 0.5)
+    before = (u0.copy(), u1_level.copy())
+    got = solver.advance(u0, u1_level, lam2, 1)
+    assert np.array_equal(u0, before[0]) and np.array_equal(u1_level, before[1])
+    want = advance_steps(u0.copy(), u1_level.copy(), lam2)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +232,3 @@ def test_antiderivative_field_is_cumulative_trapezoid():
     v = cumtrapz(u, grid.h)
     assert v[0] == 0.0
     assert np.all(np.isfinite(v))
-
-
-def test_state_antiderivative_is_lazy_and_cached():
-    data, prof = get_data("odd-velocity"), get_profile("const:1")
-    grid = solver.init_grid(data, prof, 1.0, n_points=501)
-    state = solver.first_step(data, prof, grid)
-    assert state.v_curr is None
-    v = state.antiderivative(grid)
-    assert np.array_equal(v, cumtrapz(state.u_curr, grid.h))
-    assert state.antiderivative(grid) is v
