@@ -144,12 +144,18 @@ def initial_record(u0, u1, profile: CoefficientProfile, grid: GridSpec):
     return _record_from_fields(0.0, u0, u1, v0, v1, a0, ap0, grid)
 
 
-def snapshot_record(t, u_prev, u_curr, u_next, profile: CoefficientProfile, grid: GridSpec):
-    """Diagnostic record at an interior snapshot from three field levels."""
+def snapshot_record(
+    t, u_prev, u_curr, u_next, v_prev, v_curr, v_next, profile: CoefficientProfile, grid: GridSpec
+):
+    """Diagnostic record at an interior snapshot from three field levels.
+
+    ``v_prev``, ``v_curr`` and ``v_next`` are the antiderivatives of the
+    three levels (``cumtrapz`` of each), which the caller computes once per
+    level.
+    """
     a_t, ap_t = evaluate(profile, t)
     u_t = (u_next - u_prev) / (2.0 * grid.dt)
-    v_curr = cumtrapz(u_curr, grid.h)
-    v_t = (cumtrapz(u_next, grid.h) - cumtrapz(u_prev, grid.h)) / (2.0 * grid.dt)
+    v_t = (v_next - v_prev) / (2.0 * grid.dt)
     return _record_from_fields(t, u_curr, u_t, v_curr, v_t, a_t, ap_t, grid)
 
 

@@ -14,8 +14,11 @@ left it non-finite. ``run`` adds the snapshot diagnostics and
 ``evolve_final`` returns only the field at t_end.
 
 A snapshot carries three consecutive levels so time derivatives can be
-centered, plus the antiderivative field recomputed from the current level by
-cumulative trapezoid. An optional cross-check also evolves the antiderivative
+centered, plus the antiderivative field of each level by cumulative
+trapezoid. Each field level is stepped once and integrated once: the level
+after a snapshot is the next step proper, and consecutive snapshots pass
+their antiderivatives along. Only the final snapshot steps once past t_end,
+on scratch copies. An optional cross-check also evolves the antiderivative
 field with the same stencil from its own initial data and compares.
 """
 
@@ -159,16 +162,18 @@ def advance(u_prev: np.ndarray, u_curr: np.ndarray, lam2: np.ndarray, level: int
     The inputs are left unchanged. A non-finite result is replayed one step
     at a time, and BlowUpError names the first level that is not finite.
     """
-    new_prev, new_curr = advance_steps(u_prev.copy(), u_curr.copy(), lam2)
-    if np.all(np.isfinite(new_curr)) and np.all(np.isfinite(new_prev)):
-        return new_prev, new_curr
-    bad = level + len(lam2)
-    a, b = u_prev.copy(), u_curr.copy()
-    for k in range(len(lam2)):
-        a, b = advance_steps(a, b, lam2[k : k + 1])
-        if not np.all(np.isfinite(b)):
-            bad = level + k + 1
-            break
+    # overflow on the way to a non-finite field is reported below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_prev, new_curr = advance_steps(u_prev.copy(), u_curr.copy(), lam2)
+        if np.all(np.isfinite(new_curr)) and np.all(np.isfinite(new_prev)):
+            return new_prev, new_curr
+        bad = level + len(lam2)
+        a, b = u_prev.copy(), u_curr.copy()
+        for k in range(len(lam2)):
+            a, b = advance_steps(a, b, lam2[k : k + 1])
+            if not np.all(np.isfinite(b)):
+                bad = level + k + 1
+                break
     raise BlowUpError(
         f"non-finite field at step {bad}; check the CFL number and the profile",
         step_index=bad,
@@ -190,10 +195,12 @@ def run(
 ) -> "analysis.DiagnosticSeries":
     """Run one experiment and collect the diagnostic series.
 
-    At each snapshot level the three surrounding field levels are used for
-    centered time differences, the antiderivative field is recomputed by
-    cumulative trapezoid, and the cone containment is verified to be
-    machine-exact. Identical configs produce bit-identical series.
+    At each snapshot level the three surrounding field levels and their
+    antiderivatives (cumulative trapezoids) are used for centered time
+    differences, and the cone containment is verified to be machine-exact.
+    The step to the level after a snapshot is the next step proper, and a
+    snapshot at that level reuses two of the antiderivatives. Identical
+    configs produce bit-identical series.
     """
     profile, data, grid, u0, u1, lam2 = _resolve(config)
 
@@ -217,26 +224,43 @@ def run(
         dual = _DualVState(u0, u1, profile.a0, grid) if dual_v_check else None
 
         level = 1
+        # antiderivative of the current level when the previous snapshot was
+        # the level before it, else None
+        v_next = None
         for target in _snapshot_levels(grid.n_steps, config.snapshots)[1:]:
             target = int(target)
             if target > level:
                 u_prev, u_curr = advance(u_prev, u_curr, lam2[level:target], level)
                 if dual is not None:
                     dual.advance(level, target, lam2)
+                v_next = None
                 level = target
-            # one extra step on scratch copies for the centered time derivative
-            _, u_next = advance_steps(u_prev.copy(), u_curr.copy(), lam2[level : level + 1])
             t_here = level * grid.dt
+            series.cone_ok &= _cone_exact(u_curr, data, grid, level=level)
+            if archive:
+                _write_archive_record(archive, t_here, u_curr)
+            if v_next is None:
+                v_prev, v_curr = cumtrapz(u_prev, grid.h), cumtrapz(u_curr, grid.h)
+            else:
+                v_prev, v_curr = v_curr, v_next
+            if dual is not None:
+                dual.compare(v_curr)
+            if level < grid.n_steps:
+                stepped = advance(u_prev, u_curr, lam2[level : level + 1], level)
+                if dual is not None:
+                    dual.advance(level, level + 1, lam2)
+            else:
+                # past t_end only for the centered time derivative: scratch copies
+                stepped = advance_steps(u_prev.copy(), u_curr.copy(), lam2[level : level + 1])
+            u_next = stepped[1]
+            v_next = cumtrapz(u_next, grid.h)
             rec, recon = analysis.snapshot_record(
-                t_here, u_prev, u_curr, u_next, profile, grid
+                t_here, u_prev, u_curr, u_next, v_prev, v_curr, v_next, profile, grid
             )
             series.records.append(rec)
             series.recon_rel_err.append(recon)
-            series.cone_ok &= _cone_exact(u_curr, data, grid, level=level)
-            if dual is not None:
-                dual.compare(u_curr, level)
-            if archive:
-                _write_archive_record(archive, t_here, u_curr)
+            u_prev, u_curr = stepped
+            level += 1
         if dual is not None:
             series.dual_v_max_rel_err = dual.max_rel_err
         series.finalize()
@@ -262,8 +286,11 @@ def evolve_final(config: ExperimentConfig):
 def _cone_exact(u: np.ndarray, data: InitialData, grid: GridSpec, level: int) -> bool:
     """Whether the field is exactly zero outside the numerical cone."""
     radius = data.support_radius + level * grid.h
-    outside = np.abs(grid.x) > radius + 0.5 * grid.h
-    return bool(np.all(u[outside] == 0.0))
+    thr = radius + 0.5 * grid.h
+    # |x| > thr is x < -thr or x > thr; the nodes are sorted
+    lo = np.searchsorted(grid.x, -thr, side="left")
+    hi = np.searchsorted(grid.x, thr, side="right")
+    return not (u[:lo].any() or u[hi:].any())
 
 
 def _write_archive_record(fh, t: float, u: np.ndarray):
@@ -303,8 +330,8 @@ class _DualVState:
             self.v_prev, self.v_curr, lam2[level_from:level_to], left, right
         )
 
-    def compare(self, u_curr: np.ndarray, level: int):
-        v_ref = cumtrapz(u_curr, self.grid.h)
+    def compare(self, v_ref: np.ndarray):
+        """Record the error against ``v_ref``, the cumulative trapezoid of u."""
         diff = math.sqrt(trapz_sq(self.v_curr - v_ref, self.grid.h))
         scale = max(1.0, math.sqrt(trapz_sq(v_ref, self.grid.h)))
         self.max_rel_err = max(self.max_rel_err, diff / scale)

@@ -321,6 +321,41 @@ def test_reference_series_csv_is_byte_identical(tmp_path, capsys):
     assert digest == REFERENCE_SERIES_SHA256
 
 
+# series.csv of example3 / bump on 1001 nodes (485 steps), recorded with the
+# earlier snapshot loop, which stepped a scratch level and took three
+# cumulative trapezoids per snapshot: 100000 snapshots give one per step,
+# 249 mix gaps of one step (the antiderivatives are passed along) and two
+# steps (they are recomputed)
+@pytest.mark.parametrize(
+    "snapshots,digest",
+    [
+        ("100000", "27dede99000af03df5b2dc71f6f1a5790085280a67f0aa363b04ea67e603c36c"),
+        ("249", "01c92496a797f92b8b852cffafac9903e90baf65c8994f0d13e3b08078fec444"),
+    ],
+)
+def test_dense_snapshot_series_csv_is_byte_identical(tmp_path, capsys, snapshots, digest):
+    out = tmp_path / "dense"
+    code = run_cli(
+        "simulate", "--profile", "example3", "--data", "bump", "--t-end", "20",
+        "--n-points", "1001", "--snapshots", snapshots, "--out", str(out),
+    )
+    assert code == 0
+    assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == digest
+
+
+def test_dense_dual_v_errors_are_unchanged(tmp_path, capsys):
+    # one snapshot per step; values recorded with the earlier snapshot loop
+    out = tmp_path / "dual"
+    code = run_cli(
+        "verify", "--profile", "example3", "--data", "odd-velocity", "--t-end", "20",
+        "--n-points", "1001", "--snapshots", "100000", "--dual-v", "--out", str(out),
+    )
+    assert code == 0
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert checks["dual_v"]["max_rel_err"] == 3.217879147580317e-14
+    assert checks["reconstruction"]["max_rel_err"] == 0.00047262584574012513
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_command_resolves_profile_and_data_once(tmp_path, monkeypatch, capsys, command):
     from wavebound.coefficients import get_profile

@@ -1,7 +1,10 @@
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavebound import analysis, solver
 from wavebound.config import ExperimentConfig
@@ -106,7 +109,9 @@ def test_unstable_time_step_blows_up_with_index():
     )
     u0, u1 = _initial_levels(data, bad)
     u1_level = solver.first_step(u0, u1, prof.a0, bad)
-    with pytest.raises(BlowUpError) as info, np.errstate(over="ignore", invalid="ignore"):
+    # the typed error reports the blow-up; numpy's overflow warnings stay silent
+    with pytest.raises(BlowUpError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")
         solver.advance(u0, u1_level, np.full(1500, 2.25), 1)
     assert info.value.step_index == 377
 
@@ -210,6 +215,64 @@ def test_dual_evolution_matches_cumulative_integral(data_name):
     cfg = ExperimentConfig(profile="example2a", data=data_name, t_end=8.0, n_points=1501, snapshots=40)
     series = solver.run(cfg, dual_v_check=True)
     assert series.dual_v_max_rel_err < 1e-9
+
+
+@pytest.mark.parametrize("snapshots", [2, 7, 60, 100000])
+def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
+    steps, integrals = [], []
+
+    def counting_steps(u_prev, u_curr, lam2, *edges):
+        steps.append(len(lam2))
+        return advance_steps(u_prev, u_curr, lam2, *edges)
+
+    def counting_cumtrapz(f, h):
+        integrals.append(1)
+        return cumtrapz(f, h)
+
+    monkeypatch.setattr(solver, "advance_steps", counting_steps)
+    monkeypatch.setattr(solver, "cumtrapz", counting_cumtrapz)
+    cfg = ExperimentConfig(profile="example3", data="bump", t_end=5.0, n_points=501, snapshots=snapshots)
+    series = solver.run(cfg)
+    # levels 2..n_steps plus the one past t_end for the final snapshot
+    assert sum(steps) == series.grid.n_steps
+    if snapshots > series.grid.n_steps:
+        assert len(series.records) == series.grid.n_steps + 1
+        assert len(integrals) <= len(series.records) + 2
+
+
+def _cone_by_mask(u, x, r, level, h):
+    return bool(np.all(u[np.abs(x) > r + level * h + 0.5 * h] == 0.0))
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1e-300, -1.0, np.nan, np.inf, -np.inf])
+
+
+@given(
+    n=st.integers(3, 60).map(lambda k: 2 * k + 1),
+    h=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 10.0)),
+    r_cells=st.one_of(st.integers(0, 40).map(lambda k: k + 0.5), st.floats(0.0, 40.0)),
+    level=st.integers(0, 40),
+    fill=st.lists(st.tuples(st.integers(0, 120), _SPECIAL), max_size=4),
+    at_cut=st.sampled_from([None, -2, -1, 0, 1]),
+)
+@settings(max_examples=300, deadline=None)
+def test_cone_check_matches_mask_definition(n, h, r_cells, level, fill, at_cut):
+    # a half-integer r_cells with a power-of-two h puts the threshold on a node
+    grid = GridSpec(half_width=0.5 * (n - 1) * h, n_points=n, h=h, dt=h, cfl=1.0, n_steps=1)
+    r = r_cells * h
+    data = types.SimpleNamespace(support_radius=r)
+    u = np.zeros(n)
+    for idx, val in fill:
+        u[idx % n] = val
+    if at_cut is not None:
+        # the node nearest the threshold on the right side, and its neighbours
+        thr = r + level * h + 0.5 * h
+        cut = int(np.searchsorted(grid.x, thr)) + at_cut
+        if 0 <= cut < n:
+            u[cut] = 1.0
+    want = _cone_by_mask(u, grid.x, r, level, h)
+    assert solver._cone_exact(u, data, grid, level=level) is want
+    assert solver._cone_exact(-u[::-1], data, grid, level=level) is _cone_by_mask(-u[::-1], grid.x, r, level, h)
 
 
 def test_snapshot_archive_format(tmp_path):
