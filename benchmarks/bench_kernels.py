@@ -1,23 +1,27 @@
 """Benchmark the compiled stencil kernel against the numpy fallback.
 
 Runs the same multi-step advance through both backends, checks that the
-results are bit-identical, and reports throughput. Invoke directly:
+results are bit-identical, and reports throughput. Build the compiled
+kernel first (``python setup.py build_ext --inplace``), then invoke
+directly:
 
     python benchmarks/bench_kernels.py [n_points] [n_steps]
 """
 
 import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from wavebound import kernels
 from wavebound.initial_data import bump
 from wavebound.kernels import reference
 
-try:
-    from wavebound.kernels import _stencil
-except ImportError:
-    _stencil = None
+# the compiled backend, as the package would load it, or None if not built
+_library = kernels.library_path(Path(kernels.__file__).parent)
+_stencil = None if _library is None else SimpleNamespace(advance_steps=kernels.load(_library))
 
 
 def make_problem(n_points, n_steps):
@@ -49,7 +53,7 @@ def main():
     print(f"python   backend: {t_py:8.4f} s   {node_steps / t_py / 1e6:8.1f} M node-steps/s")
 
     if _stencil is None:
-        print("compiled backend: not built (install with a C compiler to compare)")
+        print(f"compiled backend: not built (run `{kernels.BUILD_COMMAND}` to compare)")
         return
 
     t_c, out_c = time_backend(_stencil.advance_steps, u, lam2)

@@ -1,22 +1,16 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "wavebound.kernels._stencil",
-                ["src/wavebound/kernels/_stencil.pyx"],
-                # no fast-math and no FP contraction: the compiled kernel
-                # must stay bitwise identical to the numpy fallback
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        # a plain C library loaded with ctypes, not an extension module: no
+        # Python module has its name, so the import system never tries it
+        Extension(
+            "wavebound.kernels._stencil_c",
+            ["src/wavebound/kernels/stencil.c"],
+            # no fast-math and no FP contraction: the compiled kernel
+            # must stay bitwise identical to the numpy fallback
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

@@ -1,47 +1,83 @@
 """Stencil kernel backend selection.
 
-The compiled extension is preferred when it imported successfully at build
-time; otherwise the numpy reference implementation is used. Both produce
-bit-identical fields. Set WAVEBOUND_KERNEL=python or =compiled to force a
-backend, for example to run the test suite on the fallback kernel; the
-parity tests import both backends directly instead.
+The compiled backend is the C library built from ``stencil.c`` next to this
+file by ``python setup.py build_ext --inplace`` (or ``pip install
+--no-build-isolation -e .``) and loaded with ctypes. When it is not built the
+numpy reference implementation is used. Both produce bit-identical fields,
+check their arguments the same way and never write into their inputs. Set
+WAVEBOUND_KERNEL=python or =compiled to force a backend, for example to run
+the test suite on the fallback kernel; the parity tests load both backends
+directly instead.
 """
 
+import ctypes
+import importlib.machinery
 import os
+from pathlib import Path
 
 import numpy as np
 
+from wavebound.kernels import reference
+from wavebound.kernels.reference import checked_arrays
+
+# file name stem of the compiled library; no Python module has this name
+LIBRARY = "_stencil_c"
+BUILD_COMMAND = "python setup.py build_ext --inplace"
+
+
+def library_path(directory):
+    """The compiled kernel library built into ``directory``, or None."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(directory, LIBRARY + suffix)
+        if path.is_file():
+            return path
+    return None
+
+
+def load(path):
+    """The compiled ``advance_steps`` from the library at ``path``.
+
+    It takes the arguments of the reference backend and returns the same
+    bits. Like the reference backend, it copies its inputs into a ring of
+    three levels that the C loop cycles through, so they are never written.
+    """
+    c_steps = ctypes.CDLL(os.fspath(path)).advance_steps
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    c_steps.argtypes = (ptr, ptr, ptr, size, ptr, size, ptr, ptr)
+    c_steps.restype = None
+
+    def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
+        """Advance the recurrence len(lam2) steps in C; see the reference backend."""
+        u_prev, u_curr, lam2, left, right = checked_arrays(u_prev, u_curr, lam2, left, right)
+        ring = (u_prev.copy(), u_curr.copy(), np.empty_like(u_curr))
+        c_steps(
+            ring[0].ctypes.data, ring[1].ctypes.data, ring[2].ctypes.data, u_curr.size,
+            lam2.ctypes.data, lam2.size,
+            None if left is None else left.ctypes.data,
+            None if right is None else right.ctypes.data,
+        )
+        k = lam2.size % 3
+        return ring[k], ring[(k + 1) % 3]
+
+    return advance_steps
+
+
 _requested = os.environ.get("WAVEBOUND_KERNEL", "auto").strip().lower()
-
-if _requested in ("auto", "", "compiled", "c"):
-    try:
-        from wavebound.kernels import _stencil as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        if _requested in ("compiled", "c"):
-            raise ImportError(
-                "WAVEBOUND_KERNEL=compiled but the extension is not built; "
-                "reinstall with a C compiler available"
-            ) from None
-        from wavebound.kernels import reference as _impl
-
-        BACKEND = "python"
-elif _requested in ("python", "numpy", "reference"):
-    from wavebound.kernels import reference as _impl
-
-    BACKEND = "python"
-else:
+if _requested not in ("auto", "", "compiled", "c", "python", "numpy", "reference"):
     raise ImportError(f"unknown WAVEBOUND_KERNEL value {_requested!r}")
 
-
-def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
-    """Advance the three-level recurrence; see the reference backend."""
-    u_prev = np.ascontiguousarray(u_prev, dtype=np.float64)
-    u_curr = np.ascontiguousarray(u_curr, dtype=np.float64)
-    lam2 = np.ascontiguousarray(lam2, dtype=np.float64)
-    if left is not None:
-        left = np.ascontiguousarray(left, dtype=np.float64)
-    if right is not None:
-        right = np.ascontiguousarray(right, dtype=np.float64)
-    return _impl.advance_steps(u_prev, u_curr, lam2, left, right)
+advance_steps = reference.advance_steps
+BACKEND = "python"
+if _requested in ("auto", "", "compiled", "c"):
+    _library = library_path(Path(__file__).parent)
+    _why = "it is not built"
+    if _library is not None:
+        try:
+            advance_steps, BACKEND = load(_library), "compiled"
+        except OSError as exc:
+            _why = f"loading it failed: {exc}"
+    if BACKEND != "compiled" and _requested in ("compiled", "c"):
+        raise ImportError(
+            f"WAVEBOUND_KERNEL=compiled but {_why}; build the compiled kernel "
+            f"with `{BUILD_COMMAND}` where a C compiler is available"
+        )

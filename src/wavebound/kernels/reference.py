@@ -1,11 +1,39 @@
 """Pure numpy implementation of the three-level stencil update.
 
-This is the fallback backend used when the compiled extension is not
-available. The arithmetic is written to match the compiled kernel operation
-for operation, so the two backends produce bit-identical fields.
+This is the fallback backend used when the compiled kernel is not built.
+The arithmetic is written to match the compiled kernel operation for
+operation, so the two backends produce bit-identical fields. Both take their
+arguments through :func:`checked_arrays`.
 """
 
 import numpy as np
+
+
+def checked_arrays(u_prev, u_curr, lam2, left, right):
+    """The kernel arguments as contiguous float64 arrays, or ValueError.
+
+    The compiled kernel indexes raw pointers, so every length it relies on
+    is checked here, before any backend reads a value.
+    """
+    u_prev = np.ascontiguousarray(u_prev, dtype=np.float64)
+    u_curr = np.ascontiguousarray(u_curr, dtype=np.float64)
+    lam2 = np.ascontiguousarray(lam2, dtype=np.float64)
+    if u_prev.ndim != 1 or u_curr.ndim != 1 or lam2.ndim != 1:
+        raise ValueError("u_prev, u_curr and lam2 must be 1-D arrays")
+    if u_prev.size != u_curr.size:
+        raise ValueError(f"u_prev has {u_prev.size} nodes but u_curr has {u_curr.size}")
+    if u_curr.size < 3:
+        raise ValueError(f"the stencil needs at least 3 nodes, got {u_curr.size}")
+    edges = []
+    for name, edge in (("left", left), ("right", right)):
+        if edge is not None:
+            edge = np.ascontiguousarray(edge, dtype=np.float64)
+            if edge.ndim != 1 or edge.size < lam2.size:
+                raise ValueError(
+                    f"{name} must be 1-D with at least {lam2.size} values, got shape {edge.shape}"
+                )
+        edges.append(edge)
+    return u_prev, u_curr, lam2, edges[0], edges[1]
 
 
 def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
@@ -13,18 +41,21 @@ def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
 
     lam2[s] is the squared Courant factor (a(t) dt / h)^2 frozen at the time
     level consumed by step s. ``left`` and ``right`` optionally prescribe the
-    boundary values of each new level (default zero). The input arrays are
-    consumed as scratch; the returned pair is the final (previous, current).
+    boundary values of each new level (default zero). The inputs are never
+    written: the returned pair is the final (previous, current), in arrays
+    this call allocates.
 
-    Each step evaluates ``2 b - a + lam (b[2:] - 2 b + b[:-2])`` on the
-    interior in that order, writing into the new level and one scratch array
-    allocated once per call instead of fresh temporaries per step.
+    Like the compiled kernel, the levels cycle through a ring of three
+    arrays that starts as copies of the inputs. Each step evaluates
+    ``2 b - a + lam (b[2:] - 2 b + b[:-2])`` on the interior in that order,
+    writing into the new level and one scratch array allocated once per call
+    instead of fresh temporaries per step.
     """
-    a = u_prev
-    b = u_curr
-    c = np.empty_like(b)
-    lap = np.empty(max(b.size - 2, 0))
-    for s in range(len(lam2)):
+    u_prev, u_curr, lam2, left, right = checked_arrays(u_prev, u_curr, lam2, left, right)
+    ring = (u_prev.copy(), u_curr.copy(), np.empty_like(u_curr))
+    lap = np.empty(u_curr.size - 2)
+    for s in range(lam2.size):
+        a, b, c = ring[s % 3], ring[(s + 1) % 3], ring[(s + 2) % 3]
         lam = lam2[s]
         inner = c[1:-1]
         np.multiply(2.0, b[1:-1], out=lap)
@@ -36,5 +67,5 @@ def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
         np.add(inner, lap, out=inner)
         c[0] = 0.0 if left is None else left[s]
         c[-1] = 0.0 if right is None else right[s]
-        a, b, c = b, c, a
-    return a, b
+    k = lam2.size % 3
+    return ring[k], ring[(k + 1) % 3]

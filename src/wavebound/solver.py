@@ -18,8 +18,10 @@ centered, plus the antiderivative field of each level by cumulative
 trapezoid. Each field level is stepped once and integrated once: the level
 after a snapshot is the next step proper, and consecutive snapshots pass
 their antiderivatives along. Only the final snapshot steps once past t_end,
-on scratch copies. An optional cross-check also evolves the antiderivative
-field with the same stencil from its own initial data and compares.
+unchecked. The kernel never writes into the levels it is given, so no level
+is copied before a step. An optional cross-check also evolves the
+antiderivative field with the same stencil from its own initial data and
+compares.
 """
 
 from __future__ import annotations
@@ -159,16 +161,17 @@ def first_step(f0: np.ndarray, f1: np.ndarray, a0: float, grid: GridSpec) -> np.
 def advance(u_prev: np.ndarray, u_curr: np.ndarray, lam2: np.ndarray, level: int):
     """Advance len(lam2) steps from ``level``; return the new (previous, current).
 
-    The inputs are left unchanged. A non-finite result is replayed one step
-    at a time, and BlowUpError names the first level that is not finite.
+    The kernel leaves the inputs unchanged. A non-finite result is replayed
+    one step at a time, and BlowUpError names the first level that is not
+    finite.
     """
     # overflow on the way to a non-finite field is reported below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        new_prev, new_curr = advance_steps(u_prev.copy(), u_curr.copy(), lam2)
+        new_prev, new_curr = advance_steps(u_prev, u_curr, lam2)
         if np.all(np.isfinite(new_curr)) and np.all(np.isfinite(new_prev)):
             return new_prev, new_curr
         bad = level + len(lam2)
-        a, b = u_prev.copy(), u_curr.copy()
+        a, b = u_prev, u_curr
         for k in range(len(lam2)):
             a, b = advance_steps(a, b, lam2[k : k + 1])
             if not np.all(np.isfinite(b)):
@@ -250,8 +253,8 @@ def run(
                 if dual is not None:
                     dual.advance(level, level + 1, lam2)
             else:
-                # past t_end only for the centered time derivative: scratch copies
-                stepped = advance_steps(u_prev.copy(), u_curr.copy(), lam2[level : level + 1])
+                # past t_end only for the centered time derivative, unchecked
+                stepped = advance_steps(u_prev, u_curr, lam2[level : level + 1])
             u_next = stepped[1]
             v_next = cumtrapz(u_next, grid.h)
             rec, recon = analysis.snapshot_record(

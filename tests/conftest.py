@@ -1,7 +1,16 @@
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import pytest
 
-from wavebound import solver
+from wavebound import kernels, solver
 from wavebound.config import ExperimentConfig
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -20,3 +29,36 @@ def run_cache():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def compiled_root(tmp_path_factory):
+    """A directory holding a ``wavebound`` package whose compiled kernel is built.
+
+    That is the imported package's own directory when its library is built
+    in place. Otherwise the package is copied into a temporary directory and
+    ``setup.py build_ext`` builds the library into the copy, with the flags
+    setup.py gives it.
+    """
+    package = Path(kernels.__file__).resolve().parent.parent
+    if kernels.library_path(package / "kernels") is not None:
+        return package.parent
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc!r} not found), so the compiled kernel cannot be built")
+    root = tmp_path_factory.mktemp("compiled")
+    shutil.copytree(package, root / "wavebound", ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(root), "--build-temp", str(root / "build")],
+        cwd=REPO, check=True, capture_output=True, timeout=300,
+    )
+    return root
+
+
+@pytest.fixture(scope="session")
+def compiled_steps(compiled_root):
+    """The compiled backend's ``advance_steps``, loaded as the package loads it."""
+    path = kernels.library_path(compiled_root / "wavebound" / "kernels")
+    assert path is not None, "setup.py build_ext built no compiled kernel with a C compiler present"
+    return kernels.load(path)

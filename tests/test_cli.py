@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -319,6 +321,23 @@ def test_reference_series_csv_is_byte_identical(tmp_path, capsys):
     assert code == 0
     digest = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
     assert digest == REFERENCE_SERIES_SHA256
+
+
+def test_series_csv_is_byte_identical_on_both_backends(tmp_path, compiled_root):
+    digests = {}
+    for backend in ("python", "compiled"):
+        out = tmp_path / backend
+        env = dict(os.environ, WAVEBOUND_KERNEL=backend, PYTHONPATH=str(compiled_root))
+        subprocess.run(
+            [sys.executable, "-m", "wavebound.cli", "simulate", "--profile", "example1",
+             "--data", "derivative-velocity", "--t-end", "50", "--n-points", "4001",
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["backend"] == backend
+        digests[backend] = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
+    assert digests == {"python": REFERENCE_SERIES_SHA256, "compiled": REFERENCE_SERIES_SHA256}
 
 
 # series.csv of example3 / bump on 1001 nodes (485 steps), recorded with the

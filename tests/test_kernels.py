@@ -1,16 +1,17 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wavebound import kernels
 from wavebound.initial_data import bump
 from wavebound.kernels import BACKEND, advance_steps
 from wavebound.kernels import reference
-
-try:
-    from wavebound.kernels import _stencil
-
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
 
 
 def bump_field(n=801, half_width=4.0):
@@ -52,19 +53,113 @@ def test_one_cell_per_step_propagation():
     assert np.all(curr[outside] == 0.0)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_backends_are_bit_identical():
+def bits(u):
+    """The IEEE bit patterns of a float64 array: -0.0 and NaN payloads count."""
+    return np.ascontiguousarray(u).view(np.uint64)
+
+
+def test_backends_are_bit_identical(compiled_steps):
     u, _ = bump_field(n=2001, half_width=6.0)
     prev = u.copy()
     lam2 = 0.5 + 0.3 * np.sin(np.linspace(0.0, 3.0, 400)) ** 2
-    a_ref, b_ref = reference.advance_steps(prev.copy(), u.copy(), lam2)
-    a_c, b_c = _stencil.advance_steps(prev.copy(), u.copy(), lam2, None, None)
-    assert np.array_equal(b_ref, b_c)
-    assert np.array_equal(a_ref, a_c)
+    a_ref, b_ref = reference.advance_steps(prev, u, lam2)
+    a_c, b_c = compiled_steps(prev, u, lam2, None, None)
+    assert np.array_equal(bits(b_ref), bits(b_c))
+    assert np.array_equal(bits(a_ref), bits(a_c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 300),
+    steps=st.integers(0, 50),
+    seed=st.integers(0, 2**32 - 1),
+    lam_max=st.floats(0.0, 1.5),
+    with_left=st.booleans(),
+    with_right=st.booleans(),
+)
+def test_backends_agree_bit_for_bit(compiled_steps, n, steps, seed, lam_max, with_left, with_right):
+    rng = np.random.default_rng(seed)
+
+    def field(size):
+        # signed zeros mixed in, so a differing sign of zero would show
+        return np.where(rng.random(size) < 0.3, -0.0, rng.standard_normal(size))
+
+    u_prev, u_curr = field(n), field(n)
+    lam2 = rng.uniform(0.0, lam_max, steps)
+    left = field(steps) if with_left else None
+    right = field(steps) if with_right else None
+    want = reference.advance_steps(u_prev, u_curr, lam2, left, right)
+    got = compiled_steps(u_prev, u_curr, lam2, left, right)
+    for w, g in zip(want, got):
+        assert np.array_equal(bits(w), bits(g))
+
+
+@pytest.fixture(params=["python", "compiled"])
+def backend(request):
+    if request.param == "python":
+        return reference.advance_steps
+    return request.getfixturevalue("compiled_steps")
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 7])
+def test_backends_leave_their_inputs_unchanged(backend, steps):
+    u, _ = bump_field(n=201)
+    prev, curr = 0.9 * u, u.copy()
+    lam2 = np.full(steps, 0.7)
+    left, right = np.linspace(0.0, 1.0, steps), np.linspace(0.0, -1.0, steps)
+    before = [bits(x).copy() for x in (prev, curr, lam2, left, right)]
+    out_prev, out_curr = backend(prev, curr, lam2, left, right)
+    for x, was in zip((prev, curr, lam2, left, right), before):
+        assert np.array_equal(bits(x), was)
+    # the results are new arrays: writing them leaves the inputs alone too
+    out_prev[:] = 1.0
+    out_curr[:] = 2.0
+    assert np.array_equal(bits(prev), before[0]) and np.array_equal(bits(curr), before[1])
+
+
+def test_rejects_arrays_that_are_not_1d(backend):
+    u = np.zeros((2, 50))
+    with pytest.raises(ValueError, match="1-D"):
+        backend(u, u, np.full(3, 0.5))
+    with pytest.raises(ValueError, match="1-D"):
+        backend(np.zeros(50), np.zeros(50), np.full((3, 1), 0.5))
+
+
+def test_rejects_levels_of_different_lengths(backend):
+    # a shorter u_prev would otherwise be read past its end
+    with pytest.raises(ValueError, match="u_prev has 10 nodes but u_curr has 100000"):
+        backend(np.zeros(10), np.zeros(100_000), np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_rejects_fewer_than_three_nodes(backend, n):
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        backend(np.zeros(n), np.zeros(n), np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_rejects_edge_values_shorter_than_the_steps(backend, side):
+    edges = {side: np.zeros(99)}
+    with pytest.raises(ValueError, match=f"{side} must be 1-D with at least 100 values"):
+        backend(np.zeros(50), np.zeros(50), np.full(100, 0.5), **edges)
 
 
 def test_backend_name_is_reported():
     assert BACKEND in ("compiled", "python")
+
+
+def test_without_the_library_auto_falls_back_and_compiled_names_the_build(tmp_path):
+    package = Path(kernels.__file__).resolve().parent.parent
+    shutil.copytree(package, tmp_path / "wavebound", ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    probe = [sys.executable, "-c", "import wavebound.kernels as k; print(k.BACKEND)"]
+    results = {}
+    for requested in ("auto", "compiled"):
+        env = dict(os.environ, WAVEBOUND_KERNEL=requested, PYTHONPATH=str(tmp_path))
+        results[requested] = subprocess.run(probe, env=env, capture_output=True, text=True, timeout=120)
+    assert results["auto"].returncode == 0 and results["auto"].stdout.strip() == "python"
+    assert results["compiled"].returncode != 0
+    assert "ImportError: WAVEBOUND_KERNEL=compiled but it is not built" in results["compiled"].stderr
+    assert kernels.BUILD_COMMAND in results["compiled"].stderr
 
 
 def plain_expression_steps(u_prev, u_curr, lam2, left=None, right=None):
