@@ -1,8 +1,9 @@
 """Time-dependent wave-speed profiles and their classification.
 
-A profile is the pair (a(t), a'(t)) with optional analytic hints for the
-supremum, the infimum and the tail of the accumulated variation. Profiles are
-immutable after construction and safe to share between workers.
+A profile is the pair (a(t), a'(t)) with an analytic bound on the tail of the
+accumulated variation and optional analytic hints for the supremum and the
+infimum. Profiles are immutable after construction and safe to share between
+workers.
 
 Classification is sampling based over a finite horizon. The flags answer four
 questions about the speed on the probed window:
@@ -26,12 +27,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from wavebound.errors import AccuracyError, PositivityError, ProfileError
-from wavebound.quadrature import adaptive_simpson_chunked
 
 SIGN_TIE_TOL = 1e-13
-W_CROSSCHECK_TOL = 1e-8
+CLASSIFY_SAMPLES = 4096
+# absolute tolerance of the variation quadrature, split evenly across chunks
 QUAD_TOL = 1e-10
-DEFAULT_CLASSIFY_SAMPLES = 4096
+# longest chunk the variation quadrature adapts over, and the most chunks
+CHUNK_LENGTH = 1.0
+MAX_CHUNKS = 4096
+MAX_DEPTH = 60
 
 
 @dataclass(frozen=True)
@@ -41,9 +45,10 @@ class CoefficientProfile:
     name: str
     a: Callable
     a_prime: Callable
+    # T -> upper bound on the |a'| mass beyond T
+    tv_tail_hint: Callable
     a_max_hint: Optional[float] = None
     a_inf_hint: Optional[float] = None
-    tv_tail_hint: Optional[Callable] = None
 
     def __post_init__(self):
         probe = np.concatenate(([0.0], np.geomspace(1e-6, 1000.0, 255)))
@@ -89,21 +94,16 @@ def evaluate(profile: CoefficientProfile, t: float):
     return a_t, ap_t
 
 
-def classify(
-    profile: CoefficientProfile,
-    horizon: float,
-    samples: int = DEFAULT_CLASSIFY_SAMPLES,
-) -> AssumptionFlags:
+def classify(profile: CoefficientProfile, horizon: float) -> AssumptionFlags:
     """Classify a profile by dense sampling of a and a' on [0, horizon].
 
-    Sup and inf combine the sampled extrema with the profile's analytic hints;
-    the accumulated variation is the quadrature of |a'| up to the horizon.
+    Sup and inf combine the ``CLASSIFY_SAMPLES`` sampled extrema with the
+    profile's analytic hints; the accumulated variation is the quadrature of
+    |a'| up to the horizon.
     """
     if horizon <= 0.0:
         raise ValueError(f"classification horizon must be positive, got {horizon}")
-    if samples < 16:
-        raise ValueError(f"need at least 16 samples, got {samples}")
-    t = np.linspace(0.0, horizon, samples)
+    t = np.linspace(0.0, horizon, CLASSIFY_SAMPLES)
     a_vals = np.asarray(profile.a(t), dtype=float)
     ap_vals = np.asarray(profile.a_prime(t), dtype=float)
     if not (np.all(np.isfinite(a_vals)) and np.all(np.isfinite(ap_vals))):
@@ -141,53 +141,71 @@ def classify(
     )
 
 
-def w_log_ratio(profile: CoefficientProfile, t: float) -> float:
-    """Integrated logarithmic derivative, log(a(t) / a(0)).
-
-    The closed form is cross-checked against adaptive quadrature of a'/a,
-    which catches inconsistent (a, a') pairs.
-    """
-    a_t, _ = evaluate(profile, t)
-    a_0 = profile.a0
-    w = math.log(a_t / a_0)
-    if t > 0.0:
-        quad = adaptive_simpson_chunked(
-            lambda s: float(profile.a_prime(s)) / float(profile.a(s)), 0.0, t
-        )
-        if abs(w - quad) > W_CROSSCHECK_TOL * (1.0 + abs(w)):
-            raise ProfileError(
-                f"profile {profile.name!r}: log-ratio {w} disagrees with "
-                f"quadrature of a'/a ({quad}) at t={t}; a and a' are inconsistent"
-            )
-    return w
-
-
-def total_variation(profile: CoefficientProfile, T: float, tol: float = QUAD_TOL) -> float:
-    """Quadrature of |a'| over [0, T].
+def total_variation(profile: CoefficientProfile, T: float) -> float:
+    """Quadrature of |a'| over [0, T] to absolute tolerance ``QUAD_TOL``.
 
     Chunked adaptive Simpson: |a'| may oscillate and has kinks at sign
-    changes, which a single adaptive pass over a long interval can alias.
+    changes, which a single adaptive pass over a long interval can alias, so
+    [0, T] is first split into chunks no longer than ``CHUNK_LENGTH`` and the
+    tolerance is divided across them. Raises :class:`AccuracyError`, with the
+    estimate attached, when some piece still disagrees at ``MAX_DEPTH``
+    bisections or the result is not finite.
     """
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
-    return adaptive_simpson_chunked(
-        lambda s: abs(float(profile.a_prime(s))), 0.0, T, tol=tol
-    )
+
+    def f(s):
+        return abs(float(profile.a_prime(s)))
+
+    n = min(max(1, math.ceil(T / CHUNK_LENGTH)), MAX_CHUNKS)
+    edges = [T * k / n for k in range(n + 1)]
+    total = 0.0
+    converged = True
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        subtotal, chunk_converged = _adaptive_simpson(f, lo, hi, QUAD_TOL / n)
+        total += subtotal
+        converged = converged and chunk_converged
+    if not (converged and math.isfinite(total)):
+        raise AccuracyError(
+            f"profile {profile.name!r}: variation on [0, {T}] did not converge "
+            f"to tol={QUAD_TOL} (estimate {total})",
+            achieved=total,
+        )
+    return total
+
+
+def _adaptive_simpson(f, a, b, tol):
+    """Adaptive Simpson of ``f`` over [a, b]: (estimate, converged)."""
+    fa, fb = f(a), f(b)
+    fm = f(0.5 * (a + b))
+    total = 0.0
+    converged = True
+    # (a, b, fa, fm, fb, Simpson estimate on [a, b], local tol, depth); the
+    # right half is pushed last, so it is summed first
+    stack = [(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)]
+    while stack:
+        a0, b0, fa0, fm0, fb0, s0, tol0, depth = stack.pop()
+        m0 = 0.5 * (a0 + b0)
+        flm, frm = f(0.5 * (a0 + m0)), f(0.5 * (m0 + b0))
+        s_left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
+        s_right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
+        delta = s_left + s_right - s0
+        # converged, or too narrow to bisect further in floating point
+        done = abs(delta) <= 15.0 * tol0 or (b0 - a0) <= 1e-15 * (abs(a0) + abs(b0) + 1.0)
+        # a non-finite sample never converges: stop instead of bisecting
+        # every piece down to MAX_DEPTH
+        if done or depth >= MAX_DEPTH or not math.isfinite(delta):
+            total += s_left + s_right + delta / 15.0
+            converged = converged and done
+        else:
+            stack.append((a0, m0, fa0, flm, fm0, s_left, 0.5 * tol0, depth + 1))
+            stack.append((m0, b0, fm0, frm, fb0, s_right, 0.5 * tol0, depth + 1))
+    return total, converged
 
 
 def tv_tail_estimate(profile: CoefficientProfile, T: float) -> float:
-    """Estimate of the |a'| mass beyond T.
-
-    Uses the profile's analytic tail hint when present, otherwise a two-horizon
-    probe: the mass accumulated on [T, 2T], doubled as a crude safety factor.
-    """
-    if profile.tv_tail_hint is not None:
-        return float(profile.tv_tail_hint(T))
-    try:
-        gained = total_variation(profile, 2.0 * T) - total_variation(profile, T)
-    except AccuracyError as exc:
-        gained = exc.achieved if exc.achieved is not None else math.inf
-    return max(2.0 * gained, 0.0)
+    """The profile's analytic bound on the |a'| mass beyond T."""
+    return float(profile.tv_tail_hint(T))
 
 
 # ---------------------------------------------------------------------------

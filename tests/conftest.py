@@ -31,6 +31,19 @@ def run_cache():
     return get
 
 
+def copy_package(root):
+    """Copy the imported ``wavebound`` package into ``root``, without its library."""
+    package = Path(kernels.__file__).resolve().parent.parent
+    shutil.copytree(package, root / "wavebound", ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    return root
+
+
+@pytest.fixture(scope="session")
+def numpy_root(tmp_path_factory):
+    """A directory holding a ``wavebound`` package with no compiled kernel."""
+    return copy_package(tmp_path_factory.mktemp("numpy"))
+
+
 @pytest.fixture(scope="session")
 def compiled_root(tmp_path_factory):
     """A directory holding a ``wavebound`` package whose compiled kernel is built.
@@ -46,8 +59,7 @@ def compiled_root(tmp_path_factory):
     cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc!r} not found), so the compiled kernel cannot be built")
-    root = tmp_path_factory.mktemp("compiled")
-    shutil.copytree(package, root / "wavebound", ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    root = copy_package(tmp_path_factory.mktemp("compiled"))
     subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
          "--build-lib", str(root), "--build-temp", str(root / "build")],

@@ -323,11 +323,12 @@ def test_reference_series_csv_is_byte_identical(tmp_path, capsys):
     assert digest == REFERENCE_SERIES_SHA256
 
 
-def test_series_csv_is_byte_identical_on_both_backends(tmp_path, compiled_root):
+def test_series_csv_is_byte_identical_on_both_backends(tmp_path, compiled_root, numpy_root):
+    # the backend follows from whether the package holds the built library
     digests = {}
-    for backend in ("python", "compiled"):
+    for backend, root in (("python", numpy_root), ("compiled", compiled_root)):
         out = tmp_path / backend
-        env = dict(os.environ, WAVEBOUND_KERNEL=backend, PYTHONPATH=str(compiled_root))
+        env = dict(os.environ, PYTHONPATH=str(root))
         subprocess.run(
             [sys.executable, "-m", "wavebound.cli", "simulate", "--profile", "example1",
              "--data", "derivative-velocity", "--t-end", "50", "--n-points", "4001",

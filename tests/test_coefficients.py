@@ -11,11 +11,20 @@ from wavebound.coefficients import (
     get_profile,
     total_variation,
     tv_tail_estimate,
-    w_log_ratio,
 )
-from wavebound.errors import PositivityError, ProfileError
+from wavebound.errors import AccuracyError, PositivityError, ProfileError
 
 BUILTIN_NAMES = ["const:1", "example1", "example2a", "example2b", "example3"]
+
+
+def formula_profile(name, a, a_prime):
+    """A test profile from numpy formulas for a and a', with no tail bound."""
+    return CoefficientProfile(
+        name=name,
+        a=lambda t: a(np.asarray(t, dtype=float)),
+        a_prime=lambda t: a_prime(np.asarray(t, dtype=float)),
+        tv_tail_hint=lambda T: math.inf,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -50,22 +59,14 @@ def test_negative_time_rejected():
 
 
 def test_non_finite_derivative_reported_with_time():
-    prof = CoefficientProfile(
-        name="broken",
-        a=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        a_prime=lambda t: np.where(np.asarray(t, dtype=float) == 7.0, np.nan, 0.0),
-    )
+    prof = formula_profile("broken", np.ones_like, lambda t: np.where(t == 7.0, np.nan, 0.0))
     with pytest.raises(ProfileError, match="7"):
         evaluate(prof, 7.0)
 
 
 def test_nonpositive_profile_fails_construction():
     with pytest.raises(PositivityError):
-        CoefficientProfile(
-            name="sinking",
-            a=lambda t: 1.0 - np.asarray(t, dtype=float),
-            a_prime=lambda t: -np.ones_like(np.asarray(t, dtype=float)),
-        )
+        formula_profile("sinking", lambda t: 1.0 - t, lambda t: -np.ones_like(t))
 
 
 def test_unknown_profile_name():
@@ -110,18 +111,9 @@ def test_classify_example3_integrable_variation():
     assert math.isfinite(flags.tv_total)
 
 
-def test_classify_rejects_tiny_sample_counts():
-    with pytest.raises(ValueError):
-        classify(get_profile("const:1"), 10.0, samples=8)
-
-
 def test_sign_tie_tolerance_counts_both_ways():
     # derivative at roundoff scale must classify as both monotone regimes
-    prof = CoefficientProfile(
-        name="jitter",
-        a=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        a_prime=lambda t: np.full_like(np.asarray(t, dtype=float), 1e-15),
-    )
+    prof = formula_profile("jitter", np.ones_like, lambda t: np.full_like(t, 1e-15))
     flags = classify(prof, 50.0)
     assert flags.a2_holds and flags.a3_holds
 
@@ -157,41 +149,8 @@ def test_constant_profiles_classify_cleanly(value):
 
 
 # ---------------------------------------------------------------------------
-# log ratio and total variation
+# total variation
 # ---------------------------------------------------------------------------
-
-
-def test_log_ratio_constant_is_zero():
-    assert w_log_ratio(get_profile("const:2"), 17.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_log_ratio_example1_approaches_log_two():
-    w = w_log_ratio(get_profile("example1"), 1e6)
-    assert w == pytest.approx(math.log(2.0), abs=1e-5)
-
-
-def test_log_ratio_example2a_closed_form():
-    # the cross-check against quadrature of a'/a runs inside w_log_ratio
-    w = w_log_ratio(get_profile("example2a"), 1.0)
-    assert w == pytest.approx(math.log((1.0 + math.exp(-1.0)) / 2.0), abs=1e-10)
-
-
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-@pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
-def test_log_ratio_crosscheck_passes_for_builtins(name, t):
-    prof = get_profile(name)
-    w = w_log_ratio(prof, t)
-    assert math.isfinite(w)
-
-
-def test_inconsistent_pair_fails_crosscheck():
-    prof = CoefficientProfile(
-        name="mismatched",
-        a=lambda t: 1.0 + np.asarray(t, dtype=float),
-        a_prime=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
-    )
-    with pytest.raises(ProfileError, match="inconsistent"):
-        w_log_ratio(prof, 3.0)
 
 
 def test_total_variation_constant():
@@ -218,6 +177,104 @@ def test_total_variation_example3_two_horizons():
     tv200 = total_variation(prof, 200.0)
     assert tv100 == pytest.approx(0.592024657965, abs=1e-9)
     assert tv200 - tv100 == pytest.approx(3.1475e-3, abs=1e-6)
+
+
+# float.hex(total_variation(profile, 4 t_end)) for the end times of the
+# acceptance suite, the README and the benchmark (the classification horizon
+# is 4 t_end), recorded with the earlier general-purpose quadrature module
+TV_END_TIMES = (3, 5, 10, 20, 50, 100, 200)
+TV_PINNED = {
+    "const:1": ("0x0.0p+0",) * 7,
+    "example1": (
+        "0x1.d7100fbf668c2p-1", "0x1.e7078b0a7255cp-1", "0x1.f35bd21f40c1bp-1",
+        "0x1.f9a3cc26c0ff3p-1", "0x1.fd7246927d341p-1", "0x1.feb8bab0b5ca1p-1",
+        "0x1.ff5c4329d9ea2p-1",
+    ),
+    "example2a": (
+        "0x1.ffff31d59e2e5p-1", "0x1.ffffffee4be3cp-1", "0x1.000000000015ep+0",
+        "0x1.0000000000084p+0", "0x1.0000000000031p+0", "0x1.000000000002bp+0",
+        "0x1.0000000000011p+0",
+    ),
+    "example2b": (
+        "0x1.d89d89d89d8fdp-1", "0x1.e79e79e79e80ep-1", "0x1.f3831f3831fc4p-1",
+        "0x1.f9add3c0ca49dp-1", "0x1.fd73e68701470p-1", "0x1.feb9231cba6a6p-1",
+        "0x1.ff5c5d52c6cadp-1",
+    ),
+    "example3": (
+        "0x1.18b8712f6163cp-1", "0x1.22ff6a6bed996p-1", "0x1.2a55f956f5c86p-1",
+        "0x1.2e5501b31f8cdp-1", "0x1.30ba689684909p-1", "0x1.318a465d5ecdfp-1",
+        "0x1.31f1fc40b8211p-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_total_variation_is_pinned_bit_for_bit(name):
+    prof = get_profile(name)
+    got = tuple(float.hex(total_variation(prof, 4.0 * t_end)) for t_end in TV_END_TIMES)
+    assert got == TV_PINNED[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
+def test_total_variation_is_consistent_with_the_speed(name, t):
+    # the variation bounds the net change of a, with equality for a monotone
+    # speed; an inconsistent (a, a') pair breaks one or the other
+    prof = get_profile(name)
+    gap = abs(float(prof.a(t)) - float(prof.a(0.0)))
+    tv = total_variation(prof, t)
+    assert tv >= gap - 1e-10
+    if name != "example3":
+        assert tv == pytest.approx(gap, abs=1e-10)
+
+
+def test_total_variation_of_oscillating_speed():
+    # |a'| = |cos| over [0, 16 pi] is exactly 32; a single adaptive pass can
+    # alias on this integrand, the chunked quadrature must not
+    prof = formula_profile("wobble", lambda t: 2.0 + np.sin(t), np.cos)
+    assert total_variation(prof, 16.0 * math.pi) == pytest.approx(32.0, abs=1e-8)
+
+
+def test_total_variation_exact_for_cubic_derivative():
+    # Simpson's rule is exact for cubics
+    prof = formula_profile("quartic", lambda t: 1.0 + 0.25 * t**4, lambda t: t**3)
+    assert total_variation(prof, 1.0) == pytest.approx(0.25, abs=1e-14)
+
+
+def test_total_variation_of_half_period_sine():
+    prof = formula_profile("rising", lambda t: 2.0 - np.cos(t), np.sin)
+    assert total_variation(prof, math.pi) == pytest.approx(2.0, abs=1e-10)
+
+
+@given(
+    a0=st.floats(2.0, 5.0, allow_nan=False),
+    slope=st.floats(-1e-3, 5.0, allow_nan=False),
+    T=st.floats(0.1, 50.0, allow_nan=False),
+)
+@settings(max_examples=50, deadline=None)
+def test_total_variation_of_linear_speed_is_exact(a0, slope, T):
+    prof = formula_profile("linear", lambda t: a0 + slope * t, lambda t: np.full_like(t, slope))
+    exact = abs(slope) * T
+    assert total_variation(prof, T) == pytest.approx(exact, abs=1e-9 * (1 + exact))
+
+
+def test_total_variation_depth_cap_raises_with_achieved_estimate():
+    # a' jumps at t = 0.3; on a horizon this long the first chunk is about
+    # 2.4e4 wide, so 60 bisections stop short of the floating-point width
+    # floor and the jump never meets the halving tolerance
+    prof = formula_profile(
+        "kinked", lambda t: 1.0 + np.minimum(t, 0.3), lambda t: np.where(t < 0.3, 1.0, 0.0)
+    )
+    with pytest.raises(AccuracyError) as info:
+        total_variation(prof, 1e8)
+    assert info.value.achieved == pytest.approx(0.3, abs=1e-9)
+
+
+def test_total_variation_of_non_finite_derivative_raises_with_achieved_estimate():
+    prof = formula_profile("broken", np.ones_like, lambda t: np.where(t > 2.0, np.nan, 0.0))
+    with pytest.raises(AccuracyError) as info:
+        total_variation(prof, 5.0)
+    assert info.value.achieved is not None and math.isnan(info.value.achieved)
 
 
 def test_tail_estimates_shrink_with_horizon():
