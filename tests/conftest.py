@@ -5,9 +5,13 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import math
+
+import numpy as np
 import pytest
 
 from wavebound import kernels, solver
+from wavebound.coefficients import CoefficientProfile
 from wavebound.config import ExperimentConfig
 
 REPO = Path(__file__).resolve().parent.parent
@@ -29,6 +33,16 @@ def run_cache():
         return cache[key]
 
     return get
+
+
+def formula_profile(name, a, a_prime):
+    """A test profile from numpy formulas for a and a', with no tail bound."""
+    return CoefficientProfile(
+        name=name,
+        a=lambda t: a(np.asarray(t, dtype=float)),
+        a_prime=lambda t: a_prime(np.asarray(t, dtype=float)),
+        tv_tail_hint=lambda T: math.inf,
+    )
 
 
 def copy_package(root):

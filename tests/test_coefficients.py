@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import formula_profile
 from wavebound.coefficients import (
-    CoefficientProfile,
     classify,
     evaluate,
     get_profile,
@@ -15,16 +15,6 @@ from wavebound.coefficients import (
 from wavebound.errors import AccuracyError, PositivityError, ProfileError
 
 BUILTIN_NAMES = ["const:1", "example1", "example2a", "example2b", "example3"]
-
-
-def formula_profile(name, a, a_prime):
-    """A test profile from numpy formulas for a and a', with no tail bound."""
-    return CoefficientProfile(
-        name=name,
-        a=lambda t: a(np.asarray(t, dtype=float)),
-        a_prime=lambda t: a_prime(np.asarray(t, dtype=float)),
-        tv_tail_hint=lambda T: math.inf,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +139,64 @@ def test_constant_profiles_classify_cleanly(value):
 
 
 # ---------------------------------------------------------------------------
-# total variation
+# log ratio and total variation
 # ---------------------------------------------------------------------------
+
+# relative agreement asked of log(a(t) / a(0)) and the quadrature of a'/a
+LOG_RATIO_TOL = 1e-8
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def log_ratio_and_quadrature(profile, t):
+    """log(a(t) / a(0)) in closed form, and the integral of a'/a over [0, t].
+
+    The two agree when a' is the derivative of a. The integral sums 16-point
+    Gauss-Legendre rules over [0, 1e-3] and geometric panels, 40 a decade,
+    from 1e-3 to t.
+    """
+    assert t > 1e-3
+    edges = np.concatenate(([0.0], np.geomspace(1e-3, t, 1 + math.ceil(40 * math.log10(t / 1e-3)))))
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    s = (mid + half * GAUSS_NODES).ravel()
+    ratio = (np.asarray(profile.a_prime(s)) / np.asarray(profile.a(s))).reshape(mid.shape[0], -1)
+    quad = float(np.sum(half[:, 0] * (ratio @ GAUSS_WEIGHTS)))
+    return math.log(float(profile.a(t)) / profile.a0), quad
+
+
+def crosschecked_log_ratio(profile, t):
+    w, quad = log_ratio_and_quadrature(profile, t)
+    assert abs(w - quad) <= LOG_RATIO_TOL * (1.0 + abs(w)), (w, quad)
+    return w
+
+
+def test_log_ratio_constant_is_zero():
+    assert crosschecked_log_ratio(get_profile("const:2"), 17.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_log_ratio_example1_approaches_log_two():
+    w = crosschecked_log_ratio(get_profile("example1"), 1e6)
+    assert w == pytest.approx(math.log(2.0), abs=1e-5)
+
+
+def test_log_ratio_example2a_closed_form():
+    w = crosschecked_log_ratio(get_profile("example2a"), 1.0)
+    assert w == pytest.approx(math.log((1.0 + math.exp(-1.0)) / 2.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
+def test_log_ratio_crosscheck_passes_for_builtins(name, t):
+    w = crosschecked_log_ratio(get_profile(name), t)
+    assert math.isfinite(w)
+
+
+def test_inconsistent_pair_fails_crosscheck():
+    # a' = 2 is not the derivative of a = 1 + t: log 4 against 2 log 4
+    prof = formula_profile("mismatched", lambda t: 1.0 + t, lambda t: np.full_like(t, 2.0))
+    w, quad = log_ratio_and_quadrature(prof, 3.0)
+    assert w == pytest.approx(math.log(4.0), abs=1e-12)
+    assert quad == pytest.approx(2.0 * math.log(4.0), rel=1e-10)
 
 
 def test_total_variation_constant():
@@ -226,48 +272,6 @@ def test_total_variation_is_consistent_with_the_speed(name, t):
     assert tv >= gap - 1e-10
     if name != "example3":
         assert tv == pytest.approx(gap, abs=1e-10)
-
-
-def test_total_variation_of_oscillating_speed():
-    # |a'| = |cos| over [0, 16 pi] is exactly 32; a single adaptive pass can
-    # alias on this integrand, the chunked quadrature must not
-    prof = formula_profile("wobble", lambda t: 2.0 + np.sin(t), np.cos)
-    assert total_variation(prof, 16.0 * math.pi) == pytest.approx(32.0, abs=1e-8)
-
-
-def test_total_variation_exact_for_cubic_derivative():
-    # Simpson's rule is exact for cubics
-    prof = formula_profile("quartic", lambda t: 1.0 + 0.25 * t**4, lambda t: t**3)
-    assert total_variation(prof, 1.0) == pytest.approx(0.25, abs=1e-14)
-
-
-def test_total_variation_of_half_period_sine():
-    prof = formula_profile("rising", lambda t: 2.0 - np.cos(t), np.sin)
-    assert total_variation(prof, math.pi) == pytest.approx(2.0, abs=1e-10)
-
-
-@given(
-    a0=st.floats(2.0, 5.0, allow_nan=False),
-    slope=st.floats(-1e-3, 5.0, allow_nan=False),
-    T=st.floats(0.1, 50.0, allow_nan=False),
-)
-@settings(max_examples=50, deadline=None)
-def test_total_variation_of_linear_speed_is_exact(a0, slope, T):
-    prof = formula_profile("linear", lambda t: a0 + slope * t, lambda t: np.full_like(t, slope))
-    exact = abs(slope) * T
-    assert total_variation(prof, T) == pytest.approx(exact, abs=1e-9 * (1 + exact))
-
-
-def test_total_variation_depth_cap_raises_with_achieved_estimate():
-    # a' jumps at t = 0.3; on a horizon this long the first chunk is about
-    # 2.4e4 wide, so 60 bisections stop short of the floating-point width
-    # floor and the jump never meets the halving tolerance
-    prof = formula_profile(
-        "kinked", lambda t: 1.0 + np.minimum(t, 0.3), lambda t: np.where(t < 0.3, 1.0, 0.0)
-    )
-    with pytest.raises(AccuracyError) as info:
-        total_variation(prof, 1e8)
-    assert info.value.achieved == pytest.approx(0.3, abs=1e-9)
 
 
 def test_total_variation_of_non_finite_derivative_raises_with_achieved_estimate():

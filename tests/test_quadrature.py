@@ -1,52 +1,57 @@
+"""Accuracy of the chunked adaptive Simpson rule inside total_variation.
+
+The variation is the integral of |a'|, so each case is a profile whose
+derivative is the integrand under test.
+"""
+
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import formula_profile
+from wavebound.coefficients import total_variation
 from wavebound.errors import AccuracyError
-from wavebound.quadrature import adaptive_simpson, adaptive_simpson_chunked
 
 
 def test_exact_on_cubic():
-    assert adaptive_simpson(lambda x: x**3, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
+    # Simpson's rule is exact for cubics
+    prof = formula_profile("quartic", lambda t: 1.0 + 0.25 * t**4, lambda t: t**3)
+    assert total_variation(prof, 1.0) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_sine_half_period():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_reversed_interval_flips_sign():
-    forward = adaptive_simpson(math.exp, 0.0, 1.0)
-    assert adaptive_simpson(math.exp, 1.0, 0.0) == pytest.approx(-forward, abs=1e-12)
-
-
-def test_empty_interval():
-    assert adaptive_simpson(math.exp, 2.0, 2.0) == 0.0
+    prof = formula_profile("rising", lambda t: 2.0 - np.cos(t), np.sin)
+    assert total_variation(prof, math.pi) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_chunked_handles_oscillatory_absolute_value():
-    # |cos| over [0, 16 pi] is exactly 32; a single adaptive pass can alias
-    # on this integrand, the chunked variant must not
-    value = adaptive_simpson_chunked(lambda t: abs(math.cos(t)), 0.0, 16.0 * math.pi)
-    assert value == pytest.approx(32.0, abs=1e-8)
+    # |a'| = |cos| over [0, 16 pi] is exactly 32; a single adaptive pass can
+    # alias on this integrand, the chunked quadrature must not
+    prof = formula_profile("wobble", lambda t: 2.0 + np.sin(t), np.cos)
+    assert total_variation(prof, 16.0 * math.pi) == pytest.approx(32.0, abs=1e-8)
 
 
 def test_depth_cap_raises_with_achieved_estimate():
+    # a' jumps at t = 0.3; on a horizon this long the first chunk is about
+    # 2.4e4 wide, so 60 bisections stop short of the floating-point width
+    # floor and the jump never meets the halving tolerance
+    prof = formula_profile(
+        "kinked", lambda t: 1.0 + np.minimum(t, 0.3), lambda t: np.where(t < 0.3, 1.0, 0.0)
+    )
     with pytest.raises(AccuracyError) as info:
-        adaptive_simpson(lambda x: math.sin(50.0 * x), 0.0, 10.0, tol=1e-14, max_depth=3)
-    achieved = info.value.achieved
-    assert achieved is not None and math.isfinite(achieved)
+        total_variation(prof, 1e8)
+    assert info.value.achieved == pytest.approx(0.3, abs=1e-9)
 
 
 @given(
-    a=st.floats(-5, 5, allow_nan=False),
-    b=st.floats(-5, 5, allow_nan=False),
-    lo=st.floats(-3, 0, allow_nan=False),
-    width=st.floats(0.1, 4, allow_nan=False),
+    a0=st.floats(2.0, 5.0, allow_nan=False),
+    slope=st.floats(-1e-3, 5.0, allow_nan=False),
+    T=st.floats(0.1, 50.0, allow_nan=False),
 )
 @settings(max_examples=50, deadline=None)
-def test_linear_integrands_are_exact(a, b, lo, width):
-    hi = lo + width
-    exact = 0.5 * a * (hi**2 - lo**2) + b * (hi - lo)
-    value = adaptive_simpson(lambda x: a * x + b, lo, hi)
-    assert value == pytest.approx(exact, abs=1e-9 * (1 + abs(exact)))
+def test_linear_integrands_are_exact(a0, slope, T):
+    prof = formula_profile("linear", lambda t: a0 + slope * t, lambda t: np.full_like(t, slope))
+    exact = abs(slope) * T
+    assert total_variation(prof, T) == pytest.approx(exact, abs=1e-9 * (1 + exact))
