@@ -37,7 +37,7 @@ def time_backend(advance, u, lam2, repeats=5):
     for _ in range(repeats):
         prev, curr = u.copy(), u.copy()
         t0 = time.perf_counter()
-        prev, curr = advance(prev, curr, lam2, None, None)
+        prev, curr = advance(prev, curr, lam2)
         best = min(best, time.perf_counter() - t0)
         result = curr
     return best, result

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,29 +26,20 @@ from wavebound.initial_data import InitialData, MomentReport
 
 BOUND_LABELS = ("Thm1.1", "Cor1.1", "Cor1.2")
 
-CSV_COLUMNS = (
-    "t",
-    "l2_u_sq",
-    "E_u",
-    "E_v",
-    "l2_vx_sq",
-    "a",
-    "a_prime",
-    "bound_thm11",
-    "bound_cor11",
-    "bound_cor12",
-)
 
+class DiagnosticRecord(NamedTuple):
+    """One snapshot's diagnostics; the fields are the leading CSV columns."""
 
-@dataclass(frozen=True)
-class DiagnosticRecord:
     t: float
     l2_u_sq: float
     E_u: float
     E_v: float
     l2_vx_sq: float
-    a_t: float
-    a_prime_t: float
+    a: float
+    a_prime: float
+
+
+CSV_COLUMNS = DiagnosticRecord._fields + ("bound_thm11", "bound_cor11", "bound_cor12")
 
 
 @dataclass
@@ -66,8 +57,7 @@ class DiagnosticSeries:
     def finalize(self):
         self.recon_rel_err = np.asarray(self.recon_rel_err, dtype=float)
         for rec in self.records:
-            vals = (rec.l2_u_sq, rec.E_u, rec.E_v, rec.l2_vx_sq, rec.a_t, rec.a_prime_t)
-            if not all(math.isfinite(v) for v in vals):
+            if not all(math.isfinite(v) for v in rec[1:]):
                 raise SeriesError(f"non-finite diagnostic at t={rec.t}")
         return self
 
@@ -130,10 +120,7 @@ def _record_from_fields(t, u_curr, u_t, v_curr, v_t, a_t, ap_t, grid):
     )
     e_v = 0.5 * (trapz_sq(v_t, grid.h) + a_t * a_t * l2vx)
     recon = math.sqrt(trapz_sq(dv - u_curr, grid.h)) / max(1.0, math.sqrt(l2u))
-    rec = DiagnosticRecord(
-        t=t, l2_u_sq=l2u, E_u=e_u, E_v=e_v, l2_vx_sq=l2vx, a_t=a_t, a_prime_t=ap_t
-    )
-    return rec, recon
+    return DiagnosticRecord(t, l2u, e_u, e_v, l2vx, a_t, ap_t), recon
 
 
 def initial_record(u0, u1, profile: CoefficientProfile, grid: GridSpec):
@@ -287,7 +274,7 @@ def envelope_report(series: DiagnosticSeries, flags: AssumptionFlags, epsilon: f
     grow at all. Each applicable envelope is checked at every snapshot.
     """
     e_v = series.column("E_v")
-    a_vals = series.column("a_t")
+    a_vals = series.column("a")
     e0 = e_v[0]
     out = {}
     if flags.a2_holds:
@@ -312,22 +299,9 @@ def write_csv(series: DiagnosticSeries, path: str, bounds: Optional[list] = None
     hypotheses do not hold are emitted as empty fields. Floats use full
     round-trip precision.
     """
-    by_label = {}
-    for rep in bounds or []:
-        by_label[rep.theorem] = rep.bound_value
+    by_label = {rep.theorem: repr(rep.bound_value) for rep in bounds or []}
+    bound_cells = [by_label.get(label, "") for label in BOUND_LABELS]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in series.records:
-            cells = [
-                repr(rec.t),
-                repr(rec.l2_u_sq),
-                repr(rec.E_u),
-                repr(rec.E_v),
-                repr(rec.l2_vx_sq),
-                repr(rec.a_t),
-                repr(rec.a_prime_t),
-            ]
-            for label in BOUND_LABELS:
-                value = by_label.get(label)
-                cells.append("" if value is None else repr(value))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join([*map(repr, rec), *bound_cells]) + "\n")

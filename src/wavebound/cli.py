@@ -41,21 +41,6 @@ from wavebound.oracles import (
     fourier_growth_slope,
 )
 
-_FLAG_TO_FIELD = {
-    "profile": "profile",
-    "data": "data",
-    "data_scale": "data_scale",
-    "data_shift": "data_shift",
-    "data_width": "data_width",
-    "t_end": "t_end",
-    "n_points": "n_points",
-    "cfl": "cfl",
-    "snapshots": "snapshots",
-    "epsilon": "epsilon_bound",
-    "out": "output_dir",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavebound",
@@ -67,15 +52,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--profile", help="speed profile name or const:<value>")
         p.add_argument("--data", help="initial data family name")
-        p.add_argument("--data-scale", type=float, dest="data_scale")
-        p.add_argument("--data-shift", type=float, dest="data_shift")
-        p.add_argument("--data-width", type=float, dest="data_width")
-        p.add_argument("--t-end", type=float, dest="t_end")
-        p.add_argument("--n-points", type=int, dest="n_points")
+        p.add_argument("--data-scale", type=float)
+        p.add_argument("--data-shift", type=float)
+        p.add_argument("--data-width", type=float)
+        p.add_argument("--t-end", type=float)
+        p.add_argument("--n-points", type=int)
         p.add_argument("--cfl", type=float)
         p.add_argument("--snapshots", type=int)
-        p.add_argument("--epsilon", type=float, help="bound check tolerance")
-        p.add_argument("--out", help="output directory")
+        p.add_argument(
+            "--epsilon", type=float, dest="epsilon_bound", metavar="EPSILON",
+            help="bound check tolerance",
+        )
+        p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
 
     p_sim = sub.add_parser("simulate", help="run and write CSV + summary JSON")
     add_common(p_sim)
@@ -99,13 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
-    mapping = {}
-    if getattr(args, "config", None):
-        mapping.update(parse_config_file(args.config))
-    for flag, fieldname in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
+    """The config file's settings, overridden by every flag given.
+
+    Each config field has the flag whose destination is the field's name.
+    """
+    mapping = parse_config_file(args.config) if args.config else {}
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            mapping[fieldname] = value
+            mapping[f.name] = value
     return config_from_mapping(mapping)
 
 
@@ -161,44 +151,24 @@ def _growth_section(config, series):
     }
 
 
-def _summary_dict(config, ex):
-    flags = ex["flags"]
-    report = ex["report"]
+def _summary_dict(config, ex, growth=False):
+    """The blocks every summary shares; ``growth`` also in the bounded regime."""
     series = ex["series"]
-    grid = series.grid
     summary = {
         "config": config.to_dict(),
         "backend": BACKEND,
-        "grid": {
-            "half_width": grid.half_width,
-            "n_points": grid.n_points,
-            "h": grid.h,
-            "dt": grid.dt,
-            "cfl": grid.cfl,
-            "n_steps": grid.n_steps,
-        },
+        "grid": dataclasses.asdict(series.grid),
         "classification": {
+            **dataclasses.asdict(ex["flags"]),
             "horizon": ex["horizon"],
-            "a1_holds": flags.a1_holds,
-            "a2_holds": flags.a2_holds,
-            "a3_holds": flags.a3_holds,
-            "a4_holds": flags.a4_holds,
-            "a_m": flags.a_m,
-            "A0": flags.A0,
-            "tv_total": flags.tv_total,
             "tv_tail_estimate": tv_tail_estimate(ex["profile"], ex["horizon"]),
         },
-        "moment": {
-            "c0": report.c0,
-            "v1_in_L2": report.v1_in_L2,
-            "v1_l2_sq": report.v1_l2_sq,
-            "I0_sq": report.I0_sq,
-        },
+        "moment": dataclasses.asdict(ex["report"]),
         "measured_sup": float(np.max(series.column("l2_u_sq"))),
         "hypothesis_violation": ex["hypothesis_violation"],
         "bounds": [rep.to_json_dict() for rep in ex["bounds"]],
     }
-    if ex["hypothesis_violation"]:
+    if growth or ex["hypothesis_violation"]:
         summary["growth"] = _growth_section(config, series)
     return summary
 
@@ -217,24 +187,9 @@ def _collect_passes(obj):
     return found
 
 
-def _jsonable(obj):
-    """Coerce numpy scalars so the payload serializes cleanly."""
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(item) for item in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _emit(payload: dict, path: str) -> int:
     """Write JSON, echo to stdout, and derive the exit status."""
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(text)
@@ -342,10 +297,8 @@ def cmd_converge(config: ExperimentConfig, levels: int = 3) -> int:
 def cmd_growth(config: ExperimentConfig) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     ex = _experiment(config)
-    series = ex["series"]
-    payload = _summary_dict(config, ex)
-    growth = _growth_section(config, series)
-    payload["growth"] = growth
+    payload = _summary_dict(config, ex, growth=True)
+    growth = payload["growth"]
 
     oracle_section = None
     if config.profile.strip().lower().startswith("const:"):

@@ -213,24 +213,15 @@ def tv_tail_estimate(profile: CoefficientProfile, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_float_array(t):
-    return np.asarray(t, dtype=float)
-
-
-def _scalar_like(t, values):
-    arr = np.asarray(values)
-    return arr if arr.ndim else float(arr)
-
-
 def constant_profile(value: float) -> CoefficientProfile:
     if not (math.isfinite(value) and value > 0.0):
         raise PositivityError(f"constant speed must be positive, got {value}")
 
     def a(t):
-        return _scalar_like(t, np.full_like(_as_float_array(t), value))
+        return np.full_like(t, value, dtype=float)
 
     def a_prime(t):
-        return _scalar_like(t, np.zeros_like(_as_float_array(t)))
+        return np.zeros_like(t, dtype=float)
 
     return CoefficientProfile(
         name=f"const:{value:g}",
@@ -250,22 +241,22 @@ def example1_profile() -> CoefficientProfile:
     """
 
     def a(t):
-        arr = _as_float_array(t)
+        arr = np.asarray(t, dtype=float)
         out = np.ones_like(arr)
         m = arr > 0.0
         with np.errstate(divide="ignore", over="ignore"):
             out[m] = 1.0 + np.exp(-1.0 / arr[m])
-        return _scalar_like(t, out)
+        return out
 
     def a_prime(t):
-        arr = _as_float_array(t)
+        arr = np.asarray(t, dtype=float)
         out = np.zeros_like(arr)
         m = arr > 0.0
         tm = arr[m]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             e = np.exp(-1.0 / tm)
             out[m] = np.where(e > 0.0, e / (tm * tm), 0.0)
-        return _scalar_like(t, out)
+        return out
 
     return CoefficientProfile(
         name="example1",
@@ -282,10 +273,10 @@ def example2a_profile() -> CoefficientProfile:
     """Exponentially decaying speed 1 + exp(-t)."""
 
     def a(t):
-        return _scalar_like(t, 1.0 + np.exp(-_as_float_array(t)))
+        return 1.0 + np.exp(-np.asarray(t, dtype=float))
 
     def a_prime(t):
-        return _scalar_like(t, -np.exp(-_as_float_array(t)))
+        return -np.exp(-np.asarray(t, dtype=float))
 
     return CoefficientProfile(
         name="example2a",
@@ -301,12 +292,11 @@ def example2b_profile() -> CoefficientProfile:
     """Rational decaying speed (2 + t) / (1 + t)."""
 
     def a(t):
-        arr = _as_float_array(t)
-        return _scalar_like(t, (2.0 + arr) / (1.0 + arr))
+        arr = np.asarray(t, dtype=float)
+        return (2.0 + arr) / (1.0 + arr)
 
     def a_prime(t):
-        arr = _as_float_array(t)
-        return _scalar_like(t, -1.0 / (1.0 + arr) ** 2)
+        return -1.0 / (1.0 + np.asarray(t, dtype=float)) ** 2
 
     return CoefficientProfile(
         name="example2b",
@@ -322,13 +312,13 @@ def example3_profile() -> CoefficientProfile:
     """Oscillating speed 2 + sin(t) / (1 + t)^2 with summable variation."""
 
     def a(t):
-        arr = _as_float_array(t)
-        return _scalar_like(t, 2.0 + np.sin(arr) / (1.0 + arr) ** 2)
+        arr = np.asarray(t, dtype=float)
+        return 2.0 + np.sin(arr) / (1.0 + arr) ** 2
 
     def a_prime(t):
-        arr = _as_float_array(t)
+        arr = np.asarray(t, dtype=float)
         q = 1.0 + arr
-        return _scalar_like(t, np.cos(arr) / q**2 - 2.0 * np.sin(arr) / q**3)
+        return np.cos(arr) / q**2 - 2.0 * np.sin(arr) / q**3
 
     return CoefficientProfile(
         name="example3",

@@ -7,7 +7,8 @@ which keeps the origin exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,12 +23,11 @@ class GridSpec:
     dt: float
     cfl: float
     n_steps: int
-    x: np.ndarray = field(repr=False, default=None)
 
-    def __post_init__(self):
-        if self.x is None:
-            mid = (self.n_points - 1) // 2
-            self.x = (np.arange(self.n_points) - mid) * self.h
+    @cached_property
+    def x(self) -> np.ndarray:
+        mid = (self.n_points - 1) // 2
+        return (np.arange(self.n_points) - mid) * self.h
 
 
 def trapz_sq(f: np.ndarray, h: float) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 from wavebound.errors import ConfigError, CoverageError
 from wavebound.grids import GridSpec, cumtrapz, trapz, trapz_sq
 
-# |c0| below this (scaled) threshold counts as a vanishing moment, in which
-# case the velocity antiderivative is square integrable.
+# an exact moment below this (scaled) threshold counts as vanishing, in which
+# case the velocity antiderivative is square integrable
 MOMENT_TOL = 1e-10
 
 # 1 - y^2 below this is treated as outside the bump: the true value there
@@ -76,48 +76,29 @@ def _zero(x):
     return out if out.ndim else float(out)
 
 
-def _check_coverage(data: InitialData, grid: GridSpec):
+def bound_constant(data: InitialData, a0: float, grid: GridSpec) -> MomentReport:
+    """Assemble the moment, the antiderivative norm and the bound constant.
+
+    Whether the moment vanishes is decided from its exact value
+    (:func:`wavebound.oracles.moment`), which no grid can shift. The
+    reported moment, norm and constant are trapezoids on the grid, the
+    values the discrete solution obeys. When the moment does not vanish the
+    antiderivative is not square integrable and both the norm and the
+    constant are flagged infinite.
+    """
+    from wavebound.oracles import moment  # oracles imports this module
+
     if grid.half_width < data.support_radius:
         raise CoverageError(
             f"grid half-width {grid.half_width} does not cover the data "
             f"support radius {data.support_radius}"
         )
-
-
-def antiderivative(data: InitialData, grid: GridSpec) -> np.ndarray:
-    """Cumulative trapezoid of u1 from the left grid edge.
-
-    The right-edge value equals the zero-order moment up to quadrature error.
-    """
-    _check_coverage(data, grid)
-    return cumtrapz(np.asarray(data.u1(grid.x), dtype=float), grid.h)
-
-
-def moment(data: InitialData, grid: GridSpec) -> float:
-    """Trapezoid value of the integral of u1 over the line."""
-    _check_coverage(data, grid)
-    return trapz(np.asarray(data.u1(grid.x), dtype=float), grid.h)
-
-
-def moment_tolerance(data: InitialData, grid: GridSpec) -> float:
     u1 = np.asarray(data.u1(grid.x), dtype=float)
-    sup = float(np.max(np.abs(u1))) if u1.size else 0.0
-    return MOMENT_TOL * (1.0 + sup * data.support_radius)
-
-
-def bound_constant(data: InitialData, a0: float, grid: GridSpec) -> MomentReport:
-    """Assemble the moment, the antiderivative norm and the bound constant.
-
-    When the moment does not vanish the antiderivative is not square
-    integrable and both the norm and the constant are flagged infinite.
-    """
-    _check_coverage(data, grid)
-    c0 = moment(data, grid)
-    in_l2 = abs(c0) <= moment_tolerance(data, grid)
-    if not in_l2:
+    c0 = trapz(u1, grid.h)
+    tol = MOMENT_TOL * (1.0 + float(np.max(np.abs(u1))) * data.support_radius)
+    if not abs(moment(data)) <= tol:
         return MomentReport(c0=c0, v1_in_L2=False, v1_l2_sq=math.inf, I0_sq=math.inf)
-    v1 = antiderivative(data, grid)
-    v1_sq = trapz_sq(v1, grid.h)
+    v1_sq = trapz_sq(cumtrapz(u1, grid.h), grid.h)
     u0 = np.asarray(data.u0(grid.x), dtype=float)
     i0_sq = v1_sq + a0 * a0 * trapz_sq(u0, grid.h)
     return MomentReport(c0=c0, v1_in_L2=True, v1_l2_sq=v1_sq, I0_sq=i0_sq)

@@ -41,18 +41,16 @@ def load(path):
     """
     c_steps = ctypes.CDLL(os.fspath(path)).advance_steps
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    c_steps.argtypes = (ptr, ptr, ptr, size, ptr, size, ptr, ptr)
+    c_steps.argtypes = (ptr, ptr, ptr, size, ptr, size, ptr)
     c_steps.restype = None
 
-    def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
+    def advance_steps(u_prev, u_curr, lam2, right=None):
         """Advance the recurrence len(lam2) steps in C; see the reference backend."""
-        u_prev, u_curr, lam2, left, right = checked_arrays(u_prev, u_curr, lam2, left, right)
+        u_prev, u_curr, lam2, right = checked_arrays(u_prev, u_curr, lam2, right)
         ring = (u_prev.copy(), u_curr.copy(), np.empty_like(u_curr))
         c_steps(
             ring[0].ctypes.data, ring[1].ctypes.data, ring[2].ctypes.data, u_curr.size,
-            lam2.ctypes.data, lam2.size,
-            None if left is None else left.ctypes.data,
-            None if right is None else right.ctypes.data,
+            lam2.ctypes.data, lam2.size, None if right is None else right.ctypes.data,
         )
         k = lam2.size % 3
         return ring[k], ring[(k + 1) % 3]

@@ -9,7 +9,7 @@ arguments through :func:`checked_arrays`.
 import numpy as np
 
 
-def checked_arrays(u_prev, u_curr, lam2, left, right):
+def checked_arrays(u_prev, u_curr, lam2, right):
     """The kernel arguments as contiguous float64 arrays, or ValueError.
 
     The compiled kernel indexes raw pointers, so every length it relies on
@@ -24,26 +24,23 @@ def checked_arrays(u_prev, u_curr, lam2, left, right):
         raise ValueError(f"u_prev has {u_prev.size} nodes but u_curr has {u_curr.size}")
     if u_curr.size < 3:
         raise ValueError(f"the stencil needs at least 3 nodes, got {u_curr.size}")
-    edges = []
-    for name, edge in (("left", left), ("right", right)):
-        if edge is not None:
-            edge = np.ascontiguousarray(edge, dtype=np.float64)
-            if edge.ndim != 1 or edge.size < lam2.size:
-                raise ValueError(
-                    f"{name} must be 1-D with at least {lam2.size} values, got shape {edge.shape}"
-                )
-        edges.append(edge)
-    return u_prev, u_curr, lam2, edges[0], edges[1]
+    if right is not None:
+        right = np.ascontiguousarray(right, dtype=np.float64)
+        if right.ndim != 1 or right.size < lam2.size:
+            raise ValueError(
+                f"right must be 1-D with at least {lam2.size} values, got shape {right.shape}"
+            )
+    return u_prev, u_curr, lam2, right
 
 
-def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
+def advance_steps(u_prev, u_curr, lam2, right=None):
     """Advance the recurrence len(lam2) steps.
 
     lam2[s] is the squared Courant factor (a(t) dt / h)^2 frozen at the time
-    level consumed by step s. ``left`` and ``right`` optionally prescribe the
-    boundary values of each new level (default zero). The inputs are never
-    written: the returned pair is the final (previous, current), in arrays
-    this call allocates.
+    level consumed by step s. ``right`` optionally prescribes the right
+    boundary value of each new level; the left one is zero, as is the right
+    one by default. The inputs are never written: the returned pair is the
+    final (previous, current), in arrays this call allocates.
 
     Like the compiled kernel, the levels cycle through a ring of three
     arrays that starts as copies of the inputs. Each step evaluates
@@ -51,7 +48,7 @@ def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
     writing into the new level and one scratch array allocated once per call
     instead of fresh temporaries per step.
     """
-    u_prev, u_curr, lam2, left, right = checked_arrays(u_prev, u_curr, lam2, left, right)
+    u_prev, u_curr, lam2, right = checked_arrays(u_prev, u_curr, lam2, right)
     ring = (u_prev.copy(), u_curr.copy(), np.empty_like(u_curr))
     lap = np.empty(u_curr.size - 2)
     for s in range(lam2.size):
@@ -65,7 +62,7 @@ def advance_steps(u_prev, u_curr, lam2, left=None, right=None):
         np.add(lap, b[:-2], out=lap)
         np.multiply(lam, lap, out=lap)
         np.add(inner, lap, out=inner)
-        c[0] = 0.0 if left is None else left[s]
+        c[0] = 0.0
         c[-1] = 0.0 if right is None else right[s]
     k = lam2.size % 3
     return ring[k], ring[(k + 1) % 3]

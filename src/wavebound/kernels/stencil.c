@@ -15,15 +15,14 @@ static void step(double *restrict c, const double *restrict a,
 
 /* Advance nsteps steps through the ring (a, b, c) of n-node levels: step s
    reads the previous and current levels and writes the next one, with the
-   edge values left[s] and right[s] (zero when NULL). After the call the
-   final (previous, current) pair is ring[nsteps % 3], ring[(nsteps + 1) % 3]. */
+   edge values 0 and right[s] (zero when NULL). After the call the final
+   (previous, current) pair is ring[nsteps % 3], ring[(nsteps + 1) % 3]. */
 void advance_steps(double *a, double *b, double *c, ptrdiff_t n,
-                   const double *lam2, ptrdiff_t nsteps,
-                   const double *left, const double *right)
+                   const double *lam2, ptrdiff_t nsteps, const double *right)
 {
     for (ptrdiff_t s = 0; s < nsteps; s++) {
         step(c, a, b, n, lam2[s]);
-        c[0] = left ? left[s] : 0.0;
+        c[0] = 0.0;
         c[n - 1] = right ? right[s] : 0.0;
         double *t = a;
         a = b;

@@ -2,9 +2,10 @@
 
 Nothing here touches the time stepper: closed-form traveling-wave solutions
 for constant speed, composite Gauss-Legendre quadrature for the velocity
-antiderivative and the pinned data constants, log-log order estimation, and
-a frequency-domain evaluation of the squared norm whose linear-in-time trend
-gives the growth slope when the velocity moment does not vanish. Every
+antiderivative, its exact moment and the pinned data constants, log-log
+order estimation, and a frequency-domain evaluation of the squared norm
+whose linear-in-time trend gives the growth slope when the velocity moment
+does not vanish. Every
 pinned constant used by the test suite is regenerated through this module
 rather than hard-coded.
 """
@@ -133,6 +134,16 @@ def _v1_evaluator(data: InitialData):
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
     return evaluator
+
+
+def moment(data: InitialData) -> float:
+    """The integral of the initial velocity over the line, independent of any grid.
+
+    It is the antiderivative's rise across the support: the family's closed
+    form when it has one, the composite Gauss-Legendre table otherwise.
+    """
+    v1 = _v1_evaluator(data)
+    return float(v1(data.support_radius) - v1(-data.support_radius))
 
 
 def dalembert(data: InitialData, t: float, x, speed: float = 1.0):

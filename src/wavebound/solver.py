@@ -328,9 +328,8 @@ class _DualVState:
         grid = self.grid
         steps = np.arange(level_from, level_to)
         right = self.mass0 + (steps + 1) * grid.dt * self.c0
-        left = np.zeros_like(right)
         self.v_prev, self.v_curr = advance_steps(
-            self.v_prev, self.v_curr, lam2[level_from:level_to], left, right
+            self.v_prev, self.v_curr, lam2[level_from:level_to], right
         )
 
     def compare(self, v_ref: np.ndarray):

@@ -168,7 +168,7 @@ def test_criterion_5_energy_identity_refinement(run_cache):
 def test_criterion_6_growth_envelope_rising_speed(run_cache):
     series = run_cache(profile="example1", data="derivative-velocity", t_end=50.0, n_points=4001)
     e_v = series.column("E_v")
-    a_vals = series.column("a_t")
+    a_vals = series.column("a")
     budget = e_v[0] * (a_vals / a_vals[0]) ** 2 * (1.0 + EPS_BOUND)
     _line(
         6,

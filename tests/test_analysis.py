@@ -29,7 +29,7 @@ def make_grid(half_width=2.0, n=2001):
 
 def synthetic_series(t, l2_u_sq, profile_name="const:1"):
     records = [
-        DiagnosticRecord(t=float(ti), l2_u_sq=float(vi), E_u=1.0, E_v=1.0, l2_vx_sq=float(vi), a_t=1.0, a_prime_t=0.0)
+        DiagnosticRecord(t=float(ti), l2_u_sq=float(vi), E_u=1.0, E_v=1.0, l2_vx_sq=float(vi), a=1.0, a_prime=0.0)
         for ti, vi in zip(t, l2_u_sq)
     ]
     grid = make_grid(n=101)

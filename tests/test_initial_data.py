@@ -1,21 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavebound.coefficients import get_profile
 from wavebound.errors import ConfigError, CoverageError
 from wavebound.grids import GridSpec, trapz_sq
 from wavebound.initial_data import (
+    MOMENT_TOL,
     InitialData,
-    antiderivative,
     bound_constant,
     bump,
     bump_prime,
     get_data,
-    moment,
 )
-from wavebound.oracles import bump_constants
+from wavebound.oracles import bump_constants, moment
+from wavebound.solver import init_grid
 
 
 def make_grid(half_width=2.0, n=2001):
@@ -59,75 +61,98 @@ def test_support_radius_accounts_for_shift_and_width():
 
 
 # ---------------------------------------------------------------------------
-# antiderivative
+# antiderivative: the cumulative trapezoid behind the bound constant
 # ---------------------------------------------------------------------------
 
 
 def test_antiderivative_of_zero_velocity():
-    grid = make_grid()
-    v1 = antiderivative(get_data("bump"), grid)
-    assert np.all(v1 == 0.0)
+    rep = bound_constant(get_data("bump"), 1.0, make_grid())
+    assert rep.v1_in_L2 and rep.v1_l2_sq == 0.0
 
 
 def test_antiderivative_of_derivative_recovers_bump():
     # fundamental theorem: the cumulative integral of (psi)' is psi
-    grid = make_grid()
-    data = get_data("derivative-velocity")
-    v1 = antiderivative(data, grid)
-    psi = bump(grid.x)
-    assert np.max(np.abs(v1 - psi)) < 2e-4
-    assert abs(v1[-1]) < 1e-12
+    rep = bound_constant(get_data("derivative-velocity"), 0.0, make_grid())
+    assert rep.v1_l2_sq == pytest.approx(bump_constants()["l2_sq"], rel=5e-6)
+    assert rep.I0_sq == rep.v1_l2_sq
 
 
 def test_antiderivative_right_edge_is_the_moment():
-    grid = make_grid()
-    v1 = antiderivative(get_data("bump-velocity"), grid)
+    # the grid moment is the cumulative trapezoid's right-edge value; it
+    # approximates the exact moment, which the oracle pins to quadrature accuracy
+    data = get_data("bump-velocity", scale=2.0, width=0.5)
     target = bump_constants()["integral"]
-    assert v1[-1] == pytest.approx(target, abs=1e-6)
+    assert moment(data) == pytest.approx(target, rel=1e-14)
+    assert bound_constant(data, 1.0, make_grid()).c0 == pytest.approx(target, abs=1e-6)
 
 
 def test_antiderivative_requires_coverage():
     grid = make_grid(half_width=0.5)
     with pytest.raises(CoverageError):
-        antiderivative(get_data("bump"), grid)
+        bound_constant(get_data("bump"), 1.0, grid)
 
 
 def test_antiderivative_compactly_supported_when_moment_vanishes():
-    grid = make_grid(half_width=3.0, n=3001)
-    v1 = antiderivative(get_data("odd-velocity"), grid)
-    outside = np.abs(grid.x) > 1.0 + grid.h
-    assert np.max(np.abs(v1[outside])) < 1e-14
+    # the same spacing on twice the domain adds exact zeros to the norm only
+    # if the antiderivative vanishes outside the support
+    data = get_data("odd-velocity")
+    wide = bound_constant(data, 1.0, make_grid(half_width=3.0, n=3001))
+    narrow = bound_constant(data, 1.0, make_grid(half_width=1.5, n=1501))
+    assert wide.v1_l2_sq > 0.0
+    assert wide.v1_l2_sq == pytest.approx(narrow.v1_l2_sq, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# moment
+# moment: exact (oracles.moment) and on the grid (MomentReport.c0)
 # ---------------------------------------------------------------------------
 
 
 def test_moment_odd_velocity_vanishes():
-    grid = make_grid()
-    assert abs(moment(get_data("odd-velocity"), grid)) < 1e-14
+    data = get_data("odd-velocity")
+    assert abs(moment(data)) < 1e-14
+    assert abs(bound_constant(data, 1.0, make_grid()).c0) < 1e-14
 
 
 def test_moment_bump_velocity_positive():
-    grid = make_grid()
-    m = moment(get_data("bump-velocity"), grid)
-    assert m == pytest.approx(bump_constants()["integral"], abs=1e-6)
-    assert m > 0.0
+    data = get_data("bump-velocity")
+    m = bound_constant(data, 1.0, make_grid()).c0
+    assert m == pytest.approx(moment(data), abs=1e-6)
+    assert m > 0.0 and moment(data) > 0.0
 
 
 def test_moment_zero_velocity():
-    assert moment(get_data("bump"), make_grid()) == 0.0
+    data = get_data("bump")
+    assert moment(data) == 0.0
+    assert bound_constant(data, 1.0, make_grid()).c0 == 0.0
 
 
 def test_moment_stable_under_refinement():
     data = get_data("bump-velocity")
-    m1 = moment(data, make_grid(n=2001))
-    m2 = moment(data, make_grid(n=4001))
-    m4 = moment(data, make_grid(n=8001))
+    m1, m2, m4 = (bound_constant(data, 1.0, make_grid(n=n)).c0 for n in (2001, 4001, 8001))
     assert abs(m2 - m1) < 1e-8
     richardson = (4.0 * m2 - m1) / 3.0
     assert abs(richardson - m4) < 1e-10
+
+
+def test_exact_moment_closed_form_matches_quadrature():
+    # the families with a closed-form antiderivative, integrated numerically
+    for name in ("bump", "derivative-velocity"):
+        data = get_data(name, scale=1.5, shift=0.3, width=0.7)
+        numeric = dataclasses.replace(data, v1_exact=None)
+        assert moment(data) == 0.0
+        assert abs(moment(numeric)) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["odd-velocity", "derivative-velocity"])
+@pytest.mark.parametrize("shift", [0.3, -0.5])
+def test_shifted_zero_moment_data_stay_bounded(name, shift):
+    # a shift leaves the grid moment far above the tolerance; the regime
+    # follows the exact moment, which is zero
+    data = get_data(name, scale=1.5, shift=shift)
+    grid = init_grid(data, get_profile("example1"), 50.0, n_points=4001)
+    rep = bound_constant(data, 1.0, grid)
+    assert abs(rep.c0) > MOMENT_TOL * (1.0 + 1.5 * data.support_radius)
+    assert rep.v1_in_L2 and math.isfinite(rep.I0_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +217,7 @@ def test_odd_velocity_moment_vanishes_for_any_parameters(scale, shift, width):
     data = get_data("odd-velocity", scale=scale, shift=shift, width=width)
     grid = make_grid(half_width=float(np.ceil(data.support_radius)) + 1.0, n=4001)
     tol = 1e-9 * (1.0 + scale)
-    assert abs(moment(data, grid)) < tol
+    assert abs(moment(data)) < tol
     rep = bound_constant(data, 1.0, grid)
+    assert abs(rep.c0) < tol
     assert rep.v1_in_L2

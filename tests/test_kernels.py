@@ -37,11 +37,10 @@ def test_single_step_matches_direct_formula():
 
 
 def test_boundary_value_arrays_are_honored():
-    u = np.zeros(51)
-    left = np.array([1.5, 2.5])
+    u = np.ones(51)
     right = np.array([-1.0, -2.0])
-    _, curr = advance_steps(u.copy(), u.copy(), np.array([0.5, 0.5]), left, right)
-    assert curr[0] == 2.5 and curr[-1] == -2.0
+    _, curr = advance_steps(u.copy(), u.copy(), np.array([0.5, 0.5]), right)
+    assert curr[0] == 0.0 and curr[-1] == -2.0
 
 
 def test_one_cell_per_step_propagation():
@@ -63,7 +62,7 @@ def test_backends_are_bit_identical(compiled_steps):
     prev = u.copy()
     lam2 = 0.5 + 0.3 * np.sin(np.linspace(0.0, 3.0, 400)) ** 2
     a_ref, b_ref = reference.advance_steps(prev, u, lam2)
-    a_c, b_c = compiled_steps(prev, u, lam2, None, None)
+    a_c, b_c = compiled_steps(prev, u, lam2)
     assert np.array_equal(bits(b_ref), bits(b_c))
     assert np.array_equal(bits(a_ref), bits(a_c))
 
@@ -74,10 +73,9 @@ def test_backends_are_bit_identical(compiled_steps):
     steps=st.integers(0, 50),
     seed=st.integers(0, 2**32 - 1),
     lam_max=st.floats(0.0, 1.5),
-    with_left=st.booleans(),
     with_right=st.booleans(),
 )
-def test_backends_agree_bit_for_bit(compiled_steps, n, steps, seed, lam_max, with_left, with_right):
+def test_backends_agree_bit_for_bit(compiled_steps, n, steps, seed, lam_max, with_right):
     rng = np.random.default_rng(seed)
 
     def field(size):
@@ -86,10 +84,9 @@ def test_backends_agree_bit_for_bit(compiled_steps, n, steps, seed, lam_max, wit
 
     u_prev, u_curr = field(n), field(n)
     lam2 = rng.uniform(0.0, lam_max, steps)
-    left = field(steps) if with_left else None
     right = field(steps) if with_right else None
-    want = reference.advance_steps(u_prev, u_curr, lam2, left, right)
-    got = compiled_steps(u_prev, u_curr, lam2, left, right)
+    want = reference.advance_steps(u_prev, u_curr, lam2, right)
+    got = compiled_steps(u_prev, u_curr, lam2, right)
     for w, g in zip(want, got):
         assert np.array_equal(bits(w), bits(g))
 
@@ -106,10 +103,10 @@ def test_backends_leave_their_inputs_unchanged(backend, steps):
     u, _ = bump_field(n=201)
     prev, curr = 0.9 * u, u.copy()
     lam2 = np.full(steps, 0.7)
-    left, right = np.linspace(0.0, 1.0, steps), np.linspace(0.0, -1.0, steps)
-    before = [bits(x).copy() for x in (prev, curr, lam2, left, right)]
-    out_prev, out_curr = backend(prev, curr, lam2, left, right)
-    for x, was in zip((prev, curr, lam2, left, right), before):
+    right = np.linspace(0.0, -1.0, steps)
+    before = [bits(x).copy() for x in (prev, curr, lam2, right)]
+    out_prev, out_curr = backend(prev, curr, lam2, right)
+    for x, was in zip((prev, curr, lam2, right), before):
         assert np.array_equal(bits(x), was)
     # the results are new arrays: writing them leaves the inputs alone too
     out_prev[:] = 1.0
@@ -137,7 +134,8 @@ def test_rejects_fewer_than_three_nodes(backend, n):
         backend(np.zeros(n), np.zeros(n), np.full(3, 0.5))
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
+# the right edge is the kernel's only edge-value argument; the left edge is zero
+@pytest.mark.parametrize("side", ["right"])
 def test_rejects_edge_values_shorter_than_the_steps(backend, side):
     edges = {side: np.zeros(99)}
     with pytest.raises(ValueError, match=f"{side} must be 1-D with at least 100 values"):
@@ -164,13 +162,13 @@ def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, 
     assert result.stdout.strip() == "python"
 
 
-def plain_expression_steps(u_prev, u_curr, lam2, left=None, right=None):
+def plain_expression_steps(u_prev, u_curr, lam2, right=None):
     """The stencil as one numpy expression per step, fresh temporaries."""
     a, b = u_prev.copy(), u_curr.copy()
     for s, lam in enumerate(lam2):
         c = np.empty_like(b)
         c[1:-1] = 2.0 * b[1:-1] - a[1:-1] + lam * (b[2:] - 2.0 * b[1:-1] + b[:-2])
-        c[0] = 0.0 if left is None else left[s]
+        c[0] = 0.0
         c[-1] = 0.0 if right is None else right[s]
         a, b = b, c
     return a, b
@@ -181,7 +179,7 @@ def test_scratch_buffers_are_bit_identical_to_the_plain_expression(with_edges):
     u, _ = bump_field(n=2001, half_width=6.0)
     prev = 0.97 * u
     lam2 = 0.5 + 0.3 * np.sin(np.linspace(0.0, 3.0, 400)) ** 2
-    edges = (np.linspace(0.0, 1e-3, 400), np.linspace(0.0, -2e-3, 400)) if with_edges else ()
+    edges = (np.linspace(0.0, -2e-3, 400),) if with_edges else ()
     a_ref, b_ref = plain_expression_steps(prev, u, lam2, *edges)
     a_new, b_new = reference.advance_steps(prev.copy(), u.copy(), lam2, *edges)
     assert np.array_equal(a_ref, a_new)
