@@ -41,6 +41,7 @@ from wavebound.oracles import (
     fourier_growth_slope,
 )
 
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavebound",
@@ -142,13 +143,7 @@ def _growth_section(config, series):
         slope = analysis.growth_slope_sq(series, window)
     except FitError:
         return None
-    return {
-        "window": list(window),
-        "exponent": fit.exponent,
-        "amplitude": fit.amplitude,
-        "r_squared": fit.r_squared,
-        "sq_norm_slope": slope,
-    }
+    return {"window": list(window), **dataclasses.asdict(fit), "sq_norm_slope": slope}
 
 
 def _summary_dict(config, ex, growth=False):
@@ -303,11 +298,7 @@ def cmd_growth(config: ExperimentConfig) -> int:
     oracle_section = None
     if config.profile.strip().lower().startswith("const:"):
         result = fourier_growth_slope(ex["data"], speed=ex["profile"].a0)
-        oracle_section = {
-            "value": result.value,
-            "error_estimate": result.error_estimate,
-            "method": result.method,
-        }
+        oracle_section = dataclasses.asdict(result)
         if growth is not None and ex["hypothesis_violation"] and result.value > 0:
             rel = abs(growth["sq_norm_slope"] - result.value) / result.value
             oracle_section["slope_rel_diff"] = rel

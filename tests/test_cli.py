@@ -411,8 +411,8 @@ def test_dense_dual_v_errors_are_unchanged(tmp_path, capsys):
 
 
 # sha256 of each JSON output of one small job, with the output directory and
-# the backend name blanked out, recorded before the JSON blocks were built
-# from the dataclasses
+# the backend name blanked out, recorded with the earlier hand-listed JSON
+# blocks
 @pytest.mark.parametrize(
     "name,argv,digest",
     [
