@@ -6,7 +6,8 @@ simulate   run one experiment, write the CSV series and a summary JSON
 verify     run the invariant suite, exit nonzero on any failing check
 converge   grid-refinement study against the closed-form constant-speed
            solution, reports the observed order
-growth     simulate plus growth fitting and the frequency-domain slope oracle
+growth     simulate plus growth fitting and, for constant speed, the exact
+           slope M^2/(2c) of the squared norm
 
 Settings come from a flat ``key = value`` config file plus command-line
 overrides; the resolved configuration is echoed into every JSON output, and
@@ -35,11 +36,7 @@ from wavebound.errors import (
 )
 from wavebound.initial_data import bound_constant, get_data
 from wavebound.kernels import BACKEND
-from wavebound.oracles import (
-    convergence_order,
-    dalembert,
-    fourier_growth_slope,
-)
+from wavebound.oracles import convergence_order, dalembert, growth_slope
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_con)
     p_con.add_argument("--levels", type=int, default=3, help="refinement levels (>= 3)")
 
-    p_gro = sub.add_parser("growth", help="growth fit plus the frequency oracle")
+    p_gro = sub.add_parser("growth", help="growth fit plus the exact slope oracle")
     add_common(p_gro)
     return parser
 
@@ -297,7 +294,7 @@ def cmd_growth(config: ExperimentConfig) -> int:
 
     oracle_section = None
     if config.profile.strip().lower().startswith("const:"):
-        result = fourier_growth_slope(ex["data"], speed=ex["profile"].a0)
+        result = growth_slope(ex["data"], speed=ex["profile"].a0)
         oracle_section = dataclasses.asdict(result)
         if growth is not None and ex["hypothesis_violation"] and result.value > 0:
             rel = abs(growth["sq_norm_slope"] - result.value) / result.value

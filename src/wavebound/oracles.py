@@ -2,24 +2,21 @@
 
 Nothing here touches the time stepper: closed-form traveling-wave solutions
 for constant speed, composite Gauss-Legendre quadrature for the velocity
-antiderivative, its exact moment and the pinned data constants, log-log
-order estimation, and a frequency-domain evaluation of the squared norm
-whose linear-in-time trend gives the growth slope when the velocity moment
-does not vanish. Every
-pinned constant used by the test suite is regenerated through this module
-rather than hard-coded.
+antiderivative and its exact moment, the bound constant by refined
+trapezoid, log-log order estimation, and the exact growth slope of the
+squared norm for constant speed, ``M^2 / (2 c)`` from the velocity moment
+``M``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from wavebound.errors import AccuracyError, OracleError
-from wavebound.initial_data import InitialData, bump, bump_prime
+from wavebound.initial_data import InitialData
 
 # composite Gauss-Legendre rule: equal panels over the support, each panel
 # integrated at two orders whose difference is the panel's error estimate
@@ -31,6 +28,8 @@ MAX_SPLITS = 20
 MAX_PANELS = 64 * PANELS
 # most points handed to a sampler in one call; bounds the temporaries
 BLOCK_POINTS = 8192
+# absolute tolerance of the velocity antiderivative table over the support
+V1_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def _v1_evaluator(data: InitialData):
         return lambda x: np.asarray(data.v1_exact(x), dtype=float)
 
     L = data.support_radius
-    edges, panels = _panel_integrals(data.u1, -L, L, tol=1e-12)
+    edges, panels = _panel_integrals(data.u1, -L, L, tol=V1_TOL)
     cum = np.concatenate(([0.0], np.cumsum(panels)))
 
     def evaluator(x):
@@ -181,22 +180,8 @@ def convergence_order(errors_at_h) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pinned data constants
+# bound constant
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=1)
-def bump_constants() -> dict:
-    """Quadrature values for the standard bump: mass, squared norms."""
-
-    def integral(f):
-        return float(np.sum(_panel_integrals(f, -1.0, 1.0, tol=1e-13)[1]))
-
-    return {
-        "integral": integral(bump),
-        "l2_sq": integral(lambda y: bump(y) ** 2),
-        "prime_l2_sq": integral(lambda y: bump_prime(y) ** 2),
-    }
 
 
 def _refined_trapz_sq(values_fn, lo, hi, n):
@@ -233,103 +218,24 @@ def i0_squared(data: InitialData, a0: float) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# frequency-domain growth oracle
+# growth slope for constant speed
 # ---------------------------------------------------------------------------
 
 
-def _transform_moduli(data: InitialData, xi: np.ndarray):
-    """|u0-hat|^2, |u1-hat|^2 and the real cross term on the frequency grid.
+def growth_slope(data: InitialData, speed: float = 1.0) -> OracleResult:
+    """Exact late-time slope of the squared norm for constant speed.
 
-    The transforms are trapezoid sums over the support; for smooth compactly
-    supported data the trapezoid converges faster than any power of the
-    spacing, so a moderately dense grid is spectrally accurate.
-    """
-    n_x = 4097
-    x = np.linspace(-data.support_radius, data.support_radius, n_x)
-    hx = x[1] - x[0]
-    u0 = np.asarray(data.u0(x), dtype=float)
-    u1 = np.asarray(data.u1(x), dtype=float)
-    a_sq = np.zeros_like(xi)
-    b_sq = np.zeros_like(xi)
-    cross = np.zeros_like(xi)
-    chunk = 1024
-    for start in range(0, xi.size, chunk):
-        block = xi[start : start + chunk, None] * x[None, :]
-        cos_b = np.cos(block)
-        np.sin(block, out=block)
-        sin_b = block
-        u0_re = hx * (cos_b @ u0)
-        u0_im = -hx * (sin_b @ u0)
-        u1_re = hx * (cos_b @ u1)
-        u1_im = -hx * (sin_b @ u1)
-        sl = slice(start, start + block.shape[0])
-        a_sq[sl] = u0_re**2 + u0_im**2
-        b_sq[sl] = u1_re**2 + u1_im**2
-        cross[sl] = u0_re * u1_re + u0_im * u1_im
-    return a_sq, b_sq, cross
-
-
-def _norm_sq_at_time(t, xi, a_sq, b_sq, cross, speed):
-    theta = speed * t * xi
-    kern = t * np.sinc(theta / math.pi)  # sin(c t xi) / (c xi), finite at 0
-    integrand = (
-        a_sq * np.cos(theta) ** 2
-        + b_sq * kern**2
-        + 2.0 * cross * np.cos(theta) * kern
-    )
-    # even integrand: integral over the line is twice the half-line trapezoid
-    d_xi = xi[1] - xi[0]
-    half = d_xi * (np.sum(integrand) - 0.5 * integrand[0] - 0.5 * integrand[-1])
-    return (2.0 * half) / (2.0 * math.pi)
-
-
-def fourier_growth_slope(
-    data: InitialData,
-    speed: float = 1.0,
-    fit_times=(100.0, 200.0, 400.0),
-) -> OracleResult:
-    """Linear-in-time trend of the squared norm from the frequency side.
-
-    Evaluates the constant-speed norm representation by frequency quadrature
-    at the fit times and returns the least-squares slope. The frequency
-    cutoff is doubled until the tail of the integrand falls below 1e-8 of
-    the total mass. The error estimate combines the fit residual with the
-    shift seen when the smallest fit time is dropped.
+    By d'Alembert the solution equals ``M / (2 c)`` on ``|x| < c t - R``,
+    with ``M`` the velocity moment and ``R`` the support radius, and once
+    ``c t > R`` the two edge regions travel without changing shape. So the
+    squared norm is affine in t with slope ``M^2 / (2 c)``. The error
+    estimate carries the moment's quadrature tolerance through that formula.
     """
     if speed <= 0.0:
         raise OracleError(f"speed must be positive, got {speed}")
-    t_max = max(fit_times)
-    if len(fit_times) < 3:
-        raise OracleError("need at least three fit times")
-    d_xi = math.pi / (8.0 * speed * t_max)
-    cutoff = 32.0
-    for _ in range(5):
-        xi = np.arange(0.0, cutoff, d_xi)
-        a_sq, b_sq, cross = _transform_moduli(data, xi)
-        # time-averaged envelope of the integrand, crude but monotone in xi
-        envelope = a_sq + b_sq / np.maximum(speed * xi, 1e-30) ** 2
-        envelope[0] = a_sq[0] + b_sq[0] * t_max**2
-        tail = float(np.sum(envelope[xi > 0.9 * cutoff]))
-        total = float(np.sum(envelope))
-        if total == 0.0 or tail <= 1e-8 * total:
-            break
-        cutoff *= 2.0
-    else:
-        raise AccuracyError(
-            "frequency cutoff did not converge: integrand tail stays above "
-            "1e-8 of the total mass",
-            achieved=cutoff,
-        )
-    times = np.asarray(sorted(fit_times), dtype=float)
-    norms = np.array(
-        [_norm_sq_at_time(t, xi, a_sq, b_sq, cross, speed) for t in times]
-    )
-    slope, intercept = np.polyfit(times, norms, 1)
-    resid = norms - (slope * times + intercept)
-    slope_tail, _ = np.polyfit(times[1:], norms[1:], 1)
-    err = abs(slope_tail - slope) + float(np.max(np.abs(resid))) / (
-        times[-1] - times[0]
-    )
+    m = moment(data)
     return OracleResult(
-        value=float(slope), error_estimate=float(err), method="plancherel-quadrature"
+        value=m * m / (2.0 * speed),
+        error_estimate=abs(m) * V1_TOL / speed,
+        method="moment-closed-form",
     )

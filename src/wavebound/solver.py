@@ -45,6 +45,10 @@ _CONE_PAD = 2
 # speed samples on [0, t_end] for the grid's supremum speed
 _SUP_SAMPLES = 4096
 
+# fewest grid cells across the data width: narrower data is under-resolved,
+# and the discrete norm overshoots the continuum bounds by up to 7%
+MIN_DATA_CELLS = 4
+
 
 def _window_sup_speed(profile: CoefficientProfile, t_end: float) -> float:
     t = np.linspace(0.0, max(t_end, 1e-9), _SUP_SAMPLES)
@@ -132,6 +136,11 @@ def _resolve(config: ExperimentConfig) -> _Experiment:
         width=config.data_width,
     )
     grid = init_grid(data, profile, config.t_end, cfl=config.cfl, n_points=config.n_points)
+    if config.data_width < MIN_DATA_CELLS * grid.h:
+        raise ConfigError(
+            f"data_width {config.data_width} spans {config.data_width / grid.h:.3g} "
+            f"grid cells, fewer than {MIN_DATA_CELLS}: raise n_points or the width"
+        )
     t_levels = np.arange(grid.n_steps + 1) * grid.dt
     a_levels = np.asarray(profile.a(t_levels), dtype=float)
     if not np.all(np.isfinite(a_levels)):

@@ -6,6 +6,7 @@ import sysconfig
 from pathlib import Path
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from wavebound import kernels, solver
 from wavebound.coefficients import CoefficientProfile
 from wavebound.config import ExperimentConfig
+from wavebound.initial_data import bump, bump_prime
+from wavebound.oracles import _panel_integrals
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -43,6 +46,20 @@ def formula_profile(name, a, a_prime):
         a_prime=lambda t: a_prime(np.asarray(t, dtype=float)),
         tv_tail_hint=lambda T: math.inf,
     )
+
+
+@lru_cache(maxsize=1)
+def bump_constants() -> dict:
+    """Quadrature values for the standard bump: mass, squared norms."""
+
+    def integral(f):
+        return float(np.sum(_panel_integrals(f, -1.0, 1.0, tol=1e-13)[1]))
+
+    return {
+        "integral": integral(bump),
+        "l2_sq": integral(lambda y: bump(y) ** 2),
+        "prime_l2_sq": integral(lambda y: bump_prime(y) ** 2),
+    }
 
 
 def copy_package(root):

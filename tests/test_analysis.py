@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import bump_constants
 from wavebound import analysis, solver
 from wavebound.analysis import (
     BoundReport,
@@ -19,7 +20,6 @@ from wavebound.coefficients import AssumptionFlags, classify, get_profile
 from wavebound.errors import FitError, HypothesisError, SeriesError, WaveboundError
 from wavebound.grids import GridSpec
 from wavebound.initial_data import bound_constant, bump, get_data
-from wavebound.oracles import bump_constants
 
 
 def make_grid(half_width=2.0, n=2001):

@@ -6,16 +6,19 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wavebound.cli import _collect_passes, _experiment, build_parser, load_config, main
+from wavebound.coefficients import get_profile
 from wavebound.config import (
     ExperimentConfig,
     config_from_mapping,
     parse_config_file,
 )
 from wavebound.errors import ConfigError
+from wavebound.initial_data import get_data
 from wavebound.kernels import BACKEND
+from wavebound.solver import MIN_DATA_CELLS, init_grid
 
 
 def run_cli(*args):
@@ -192,6 +195,16 @@ def test_invalid_cfl_fails_before_running(tmp_path, capsys):
     assert "cfl" in capsys.readouterr().err
 
 
+def test_under_resolved_data_is_a_config_error(tmp_path, capsys):
+    # width 0.25 spans 1.16 cells at 65 points: rejected, not run and failed
+    argv = ("verify", "--profile", "const:1", "--data", "odd-velocity", "--t-end", "5",
+            "--data-width", "0.25", "--out", str(tmp_path / "v"))
+    assert run_cli(*argv, "--n-points", "65") == 2
+    assert "data_width" in capsys.readouterr().err
+    # 4.6 cells at 257 points: every check passes
+    assert run_cli(*argv, "--n-points", "257") == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -314,7 +327,7 @@ def test_growth_command_compares_against_oracle(tmp_path):
     payload = json.loads((out / "growth.json").read_text())
     assert payload["growth"]["exponent"] == pytest.approx(0.5, abs=0.05)
     oracle = payload["oracle"]
-    assert oracle["method"] == "plancherel-quadrature"
+    assert oracle["method"] == "moment-closed-form"
     assert oracle["pass"] is True
     assert oracle["slope_rel_diff"] <= 0.10
 
@@ -463,26 +476,28 @@ def test_regime_follows_the_exact_moment_and_bounds_pass(
     family, profile, scale, shift, width, half_n
 ):
     # only bump-velocity has a nonvanishing moment, whatever the shift or grid
-    ex = _experiment(ExperimentConfig(
+    config = ExperimentConfig(
         profile=profile, data=family, data_scale=scale, data_shift=shift,
         data_width=width, t_end=5.0, n_points=2 * half_n + 1, snapshots=50,
-    ))
+    )
+    # data spanning fewer than MIN_DATA_CELLS cells are rejected; the
+    # discrete solution of resolved data obeys the exact solution's bounds
+    h = init_grid(get_data(family, scale, shift, width), get_profile(profile), 5.0,
+                  n_points=config.n_points).h
+    if width < MIN_DATA_CELLS * h:
+        with pytest.raises(ConfigError, match="data_width"):
+            _experiment(config)
+        return
+    ex = _experiment(config)
     bounded = family != "bump-velocity"
     assert ex["report"].v1_in_L2 is bounded
     assert ex["hypothesis_violation"] is not bounded
     assert bool(ex["bounds"]) is bounded
-    # the bounds hold for the exact solution; the discrete one obeys them
-    # once the data spans a few cells (at under two, the sup overshoots by
-    # up to 7%)
-    assume(4.0 * ex["series"].grid.h <= width)
     assert all(rep.passed for rep in ex["bounds"])
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_command_resolves_profile_and_data_once(tmp_path, monkeypatch, capsys, command):
-    from wavebound.coefficients import get_profile
-    from wavebound.initial_data import get_data
-
     calls = {"get_profile": 0, "get_data": 0}
 
     def counting(name, fn):

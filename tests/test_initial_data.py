@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bump_constants
 from wavebound.coefficients import get_profile
 from wavebound.errors import ConfigError, CoverageError
 from wavebound.grids import GridSpec, trapz_sq
@@ -16,7 +17,7 @@ from wavebound.initial_data import (
     bump_prime,
     get_data,
 )
-from wavebound.oracles import bump_constants, moment
+from wavebound.oracles import moment
 from wavebound.solver import init_grid
 
 

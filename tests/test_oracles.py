@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bump_constants
 from wavebound.errors import AccuracyError, OracleError
 from wavebound.initial_data import InitialData, bump, get_data
 from wavebound.oracles import (
     BLOCK_POINTS,
     _v1_evaluator,
-    bump_constants,
     convergence_order,
     dalembert,
-    fourier_growth_slope,
+    growth_slope,
     i0_squared,
 )
 
@@ -283,39 +283,75 @@ def test_i0_squared_includes_displacement_term():
 
 
 # ---------------------------------------------------------------------------
-# frequency-domain growth slope
+# growth slope for constant speed
 # ---------------------------------------------------------------------------
-
-LIGHT_TIMES = (50.0, 100.0, 200.0)
 
 
 def test_growth_slope_vanishing_moment_is_flat():
-    res = fourier_growth_slope(get_data("odd-velocity"), fit_times=LIGHT_TIMES)
+    res = growth_slope(get_data("odd-velocity"))
     assert abs(res.value) <= max(res.error_estimate, 1e-12)
 
 
 def test_growth_slope_positive_and_self_consistent():
-    res = fourier_growth_slope(get_data("bump-velocity"), fit_times=LIGHT_TIMES)
+    res = growth_slope(get_data("bump-velocity"))
     assert res.value > 0.0
-    # stable across the fit times: dropping the smallest barely moves it
+    # the moment's quadrature tolerance barely moves the slope
     assert res.error_estimate <= 0.02 * res.value
-    assert res.method == "plancherel-quadrature"
+    assert res.method == "moment-closed-form"
 
 
 def test_growth_slope_quadratic_in_amplitude():
-    base = fourier_growth_slope(get_data("bump-velocity"), fit_times=LIGHT_TIMES)
-    doubled = fourier_growth_slope(get_data("bump-velocity", scale=2.0), fit_times=LIGHT_TIMES)
+    base = growth_slope(get_data("bump-velocity"))
+    doubled = growth_slope(get_data("bump-velocity", scale=2.0))
     assert doubled.value == pytest.approx(4.0 * base.value, rel=1e-6)
 
 
 def test_growth_slope_translation_invariant():
-    base = fourier_growth_slope(get_data("bump-velocity"), fit_times=LIGHT_TIMES)
-    shifted = fourier_growth_slope(get_data("bump-velocity", shift=0.37), fit_times=LIGHT_TIMES)
+    base = growth_slope(get_data("bump-velocity"))
+    shifted = growth_slope(get_data("bump-velocity", shift=0.37))
     assert shifted.value == pytest.approx(base.value, rel=1e-6)
 
 
 def test_growth_slope_input_validation():
     with pytest.raises(OracleError):
-        fourier_growth_slope(get_data("bump-velocity"), speed=0.0)
-    with pytest.raises(OracleError):
-        fourier_growth_slope(get_data("bump-velocity"), fit_times=(100.0, 200.0))
+        growth_slope(get_data("bump-velocity"), speed=0.0)
+
+
+# spacing of the trapezoid in the traveling-wave cross-check
+DX = 1e-3
+
+
+@pytest.mark.parametrize(
+    "family,params,speed",
+    [
+        ("bump-velocity", {}, 1.0),
+        ("bump-velocity", {"scale": 2.0}, 1.0),
+        ("bump-velocity", {"shift": 0.37}, 1.0),
+        ("bump-velocity", {"width": 0.5}, 1.0),
+        ("bump-velocity", {}, 2.5),
+        ("odd-velocity", {}, 1.0),
+        ("derivative-velocity", {}, 1.0),
+        ("bump", {}, 1.0),
+    ],
+)
+def test_growth_slope_matches_norm_difference_of_traveling_waves(family, params, speed):
+    # the finite difference of the squared norm between two times after the
+    # traveling parts have separated, with the solution built here from the
+    # Simpson antiderivative table and d'Alembert's formula
+    data = get_data(family, **params)
+    nodes, cum = dense_v1(data)
+    R = data.support_radius
+
+    def norm_sq(t):
+        half = R + speed * t + 1.0
+        x = np.linspace(-half, half, int(2.0 * half / DX) + 1)
+        right, left = x - speed * t, x + speed * t
+        v1_left = np.interp(left, nodes, cum, left=0.0, right=cum[-1])
+        v1_right = np.interp(right, nodes, cum, left=0.0, right=cum[-1])
+        u = 0.5 * (data.u0(right) + data.u0(left)) + (v1_left - v1_right) / (2.0 * speed)
+        return (x[1] - x[0]) * (np.sum(u * u) - 0.5 * u[0] ** 2 - 0.5 * u[-1] ** 2)
+
+    t1 = 2.0 * R / speed + 1.0
+    t2 = t1 + 10.0
+    slope = (norm_sq(t2) - norm_sq(t1)) / (t2 - t1)
+    assert slope == pytest.approx(growth_slope(data, speed).value, rel=1e-10, abs=1e-13)

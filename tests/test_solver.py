@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bump_constants
 from wavebound import analysis, solver
 from wavebound.config import ExperimentConfig
 from wavebound.coefficients import get_profile
@@ -13,7 +14,7 @@ from wavebound.errors import BlowUpError, CapacityError, ConfigError
 from wavebound.grids import GridSpec, cumtrapz, second_diff
 from wavebound.initial_data import get_data
 from wavebound.kernels import advance_steps
-from wavebound.oracles import bump_constants, convergence_order, dalembert
+from wavebound.oracles import convergence_order, dalembert
 
 
 # ---------------------------------------------------------------------------
