@@ -14,7 +14,7 @@ floor, "Cor1.2" for speeds of integrable variation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -50,20 +50,19 @@ class DiagnosticSeries:
     profile: CoefficientProfile
     data: InitialData
     grid: GridSpec
-    recon_rel_err: list = field(default_factory=list)
+    recon_max_rel_err: float = 0.0
     cone_ok: bool = True
     dual_v_max_rel_err: Optional[float] = None
 
-    def finalize(self):
-        self.recon_rel_err = np.asarray(self.recon_rel_err, dtype=float)
-        for rec in self.records:
-            if not all(math.isfinite(v) for v in rec[1:]):
-                raise SeriesError(f"non-finite diagnostic at t={rec.t}")
-        return self
+    def append(self, record: DiagnosticRecord, recon_err: float):
+        """Add a snapshot's record and its reconstruction error.
 
-    @property
-    def recon_max_rel_err(self) -> float:
-        return float(np.max(self.recon_rel_err))
+        Raises SeriesError if the record holds a non-finite diagnostic.
+        """
+        if not all(math.isfinite(v) for v in record[1:]):
+            raise SeriesError(f"non-finite diagnostic at t={record.t}")
+        self.records.append(record)
+        self.recon_max_rel_err = max(self.recon_max_rel_err, recon_err)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(rec, name) for rec in self.records])
@@ -83,14 +82,9 @@ class BoundReport:
     epsilon: float = 0.02
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "bound_value": self.bound_value,
-            "measured_sup": self.measured_sup,
-            "margin": self.margin,
-            "pass": self.passed,
-            "epsilon": self.epsilon,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 @dataclass(frozen=True)
@@ -187,21 +181,17 @@ def theorem_bound(
             "no bound applies: the profile is neither monotone nor of "
             "integrable variation on the probed horizon"
         )
-    a0 = profile.a0
+    # a' <= 0 makes E_v nonincreasing, so a^2 ||u||^2 = a^2 ||v_x||^2 <= 2 E_v(0) = I0^2
+    floor_bound = report.I0_sq / (flags.A0 * flags.A0)
     out = []
     if flags.a2_holds:
-        out.append(
-            BoundReport("Thm1.1", report.I0_sq / (a0 * a0), epsilon=epsilon)
-        )
+        a0 = profile.a0
+        out.append(BoundReport("Thm1.1", report.I0_sq / (a0 * a0), epsilon=epsilon))
     if flags.a3_holds:
-        out.append(BoundReport("Cor1.1", report.I0_sq, epsilon=epsilon))
+        out.append(BoundReport("Cor1.1", floor_bound, epsilon=epsilon))
     if flags.a4_holds:
         grow = math.exp((2.0 / flags.A0) * flags.tv_total)
-        out.append(
-            BoundReport(
-                "Cor1.2", (report.I0_sq / (flags.A0 * flags.A0)) * grow, epsilon=epsilon
-            )
-        )
+        out.append(BoundReport("Cor1.2", floor_bound * grow, epsilon=epsilon))
     return out
 
 
@@ -210,21 +200,30 @@ def verify_bound(series: DiagnosticSeries, skeleton: BoundReport) -> BoundReport
     if not series.records:
         raise SeriesError("empty series")
     measured = float(np.max(series.column("l2_u_sq")))
-    return BoundReport(
-        theorem=skeleton.theorem,
-        bound_value=skeleton.bound_value,
+    return replace(
+        skeleton,
         measured_sup=measured,
         margin=skeleton.bound_value - measured,
         passed=measured <= skeleton.bound_value * (1.0 + skeleton.epsilon),
-        epsilon=skeleton.epsilon,
     )
 
 
-def _window_mask(t: np.ndarray, window) -> np.ndarray:
+def _window_mask(t: np.ndarray, window, *, positive: bool = False) -> np.ndarray:
+    """Records with t in the closed window (and t > 0 if ``positive``).
+
+    Raises FitError for a bad window or fewer than ten records in it.
+    """
     lo, hi = window
     if not (hi > lo >= 0.0):
         raise FitError(f"bad fit window {window}")
-    return (t >= lo) & (t <= hi)
+    mask = (t >= lo) & (t <= hi)
+    if positive:
+        mask &= t > 0.0
+    if int(mask.sum()) < 10:
+        raise FitError(
+            f"need at least 10 records in the window, found {int(mask.sum())}"
+        )
+    return mask
 
 
 def fit_growth(series: DiagnosticSeries, window) -> GrowthFit:
@@ -234,11 +233,7 @@ def fit_growth(series: DiagnosticSeries, window) -> GrowthFit:
     the norm stays bounded.
     """
     t = series.times
-    mask = _window_mask(t, window) & (t > 0.0)
-    if int(mask.sum()) < 10:
-        raise FitError(
-            f"need at least 10 records in the window, found {int(mask.sum())}"
-        )
+    mask = _window_mask(t, window, positive=True)
     norms_sq = series.column("l2_u_sq")[mask]
     if np.any(norms_sq <= 0.0):
         raise FitError("nonpositive norms in the fit window")
@@ -258,10 +253,6 @@ def growth_slope_sq(series: DiagnosticSeries, window) -> float:
     """Linear least-squares slope of the squared norm against time."""
     t = series.times
     mask = _window_mask(t, window)
-    if int(mask.sum()) < 10:
-        raise FitError(
-            f"need at least 10 records in the window, found {int(mask.sum())}"
-        )
     slope, _ = np.polyfit(t[mask], series.column("l2_u_sq")[mask], 1)
     return float(slope)
 

@@ -22,19 +22,15 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from wavebound import analysis, solver
-from wavebound.coefficients import classify, get_profile, tv_tail_estimate
+from wavebound.coefficients import AssumptionFlags, classify, get_profile, tv_tail_estimate
 from wavebound.config import ExperimentConfig, config_from_mapping, parse_config_file
-from wavebound.errors import (
-    FitError,
-    HypothesisError,
-    OracleError,
-    WaveboundError,
-)
-from wavebound.initial_data import bound_constant, get_data
+from wavebound.errors import FitError, OracleError, WaveboundError
+from wavebound.initial_data import MomentReport, bound_constant, get_data
 from wavebound.kernels import BACKEND
 from wavebound.oracles import convergence_order, dalembert, growth_slope
 
@@ -102,35 +98,33 @@ def load_config(args) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _classification_horizon(config: ExperimentConfig) -> float:
-    return max(4.0 * config.t_end, 1.0)
+class Experiment(NamedTuple):
+    """One run with its classification, moment report and bound verdicts."""
+
+    series: analysis.DiagnosticSeries
+    flags: AssumptionFlags
+    horizon: float
+    report: MomentReport
+    # checked bounds; empty in the growth regime
+    bounds: list
+
+    @property
+    def hypothesis_violation(self) -> bool:
+        return not self.report.v1_in_L2
 
 
-def _experiment(config: ExperimentConfig, archive_path=None, dual_v=False):
+def _experiment(config: ExperimentConfig, archive_path=None, dual_v=False) -> Experiment:
     series = solver.run(config, archive_path=archive_path, dual_v_check=dual_v)
-    profile, data = series.profile, series.data
-    horizon = _classification_horizon(config)
-    flags = classify(profile, horizon)
-    report = bound_constant(data, profile.a0, series.grid)
+    horizon = max(4.0 * config.t_end, 1.0)
+    flags = classify(series.profile, horizon)
+    report = bound_constant(series.data, series.profile.a0, series.grid)
     bounds = []
-    hypothesis_violation = False
-    try:
+    if report.v1_in_L2:
         skeletons = analysis.theorem_bound(
-            flags, report, profile, epsilon=config.epsilon_bound
+            flags, report, series.profile, epsilon=config.epsilon_bound
         )
         bounds = [analysis.verify_bound(series, sk) for sk in skeletons]
-    except HypothesisError:
-        hypothesis_violation = True
-    return {
-        "profile": profile,
-        "data": data,
-        "series": series,
-        "flags": flags,
-        "horizon": horizon,
-        "report": report,
-        "bounds": bounds,
-        "hypothesis_violation": hypothesis_violation,
-    }
+    return Experiment(series, flags, horizon, report, bounds)
 
 
 def _growth_section(config, series):
@@ -143,24 +137,24 @@ def _growth_section(config, series):
     return {"window": list(window), **dataclasses.asdict(fit), "sq_norm_slope": slope}
 
 
-def _summary_dict(config, ex, growth=False):
+def _summary_dict(config, ex: Experiment, growth=False):
     """The blocks every summary shares; ``growth`` also in the bounded regime."""
-    series = ex["series"]
+    series = ex.series
     summary = {
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "backend": BACKEND,
         "grid": dataclasses.asdict(series.grid),
         "classification": {
-            **dataclasses.asdict(ex["flags"]),
-            "horizon": ex["horizon"],
-            "tv_tail_estimate": tv_tail_estimate(ex["profile"], ex["horizon"]),
+            **dataclasses.asdict(ex.flags),
+            "horizon": ex.horizon,
+            "tv_tail_estimate": tv_tail_estimate(series.profile, ex.horizon),
         },
-        "moment": dataclasses.asdict(ex["report"]),
+        "moment": dataclasses.asdict(ex.report),
         "measured_sup": float(np.max(series.column("l2_u_sq"))),
-        "hypothesis_violation": ex["hypothesis_violation"],
-        "bounds": [rep.to_json_dict() for rep in ex["bounds"]],
+        "hypothesis_violation": ex.hypothesis_violation,
+        "bounds": [rep.to_json_dict() for rep in ex.bounds],
     }
-    if growth or ex["hypothesis_violation"]:
+    if growth or ex.hypothesis_violation:
         summary["growth"] = _growth_section(config, series)
     return summary
 
@@ -198,7 +192,7 @@ def cmd_simulate(config: ExperimentConfig, archive: str = None) -> int:
     ex = _experiment(config, archive_path=archive)
     summary = _summary_dict(config, ex)
     csv_path = os.path.join(config.output_dir, "series.csv")
-    analysis.write_csv(ex["series"], csv_path, bounds=ex["bounds"])
+    analysis.write_csv(ex.series, csv_path, bounds=ex.bounds)
     summary["csv"] = csv_path
     return _emit(summary, os.path.join(config.output_dir, "summary.json"))
 
@@ -206,7 +200,7 @@ def cmd_simulate(config: ExperimentConfig, archive: str = None) -> int:
 def cmd_verify(config: ExperimentConfig, dual_v: bool = False) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     ex = _experiment(config, dual_v=dual_v)
-    series = ex["series"]
+    series = ex.series
     grid = series.grid
     eps = config.epsilon_bound
 
@@ -214,13 +208,13 @@ def cmd_verify(config: ExperimentConfig, dual_v: bool = False) -> int:
     # second order, so the tolerances scale with h^2 (and the snapshot
     # spacing for the energy identity), with a generous constant
     width = config.data_width
-    recon_tol = max(25.0 * (grid.h / width) ** 2, 1e-9)
+    field_tol = max(25.0 * (grid.h / width) ** 2, 1e-9)
     checks = {
         "cone": {"pass": series.cone_ok},
         "reconstruction": {
             "max_rel_err": series.recon_max_rel_err,
-            "tol": recon_tol,
-            "pass": series.recon_max_rel_err <= recon_tol,
+            "tol": field_tol,
+            "pass": series.recon_max_rel_err <= field_tol,
         },
     }
 
@@ -235,15 +229,14 @@ def cmd_verify(config: ExperimentConfig, dual_v: bool = False) -> int:
             "pass": res_max <= res_tol,
         }
 
-    if ex["report"].v1_in_L2:
-        checks["envelopes"] = analysis.envelope_report(series, ex["flags"], eps)
+    if ex.report.v1_in_L2:
+        checks["envelopes"] = analysis.envelope_report(series, ex.flags, eps)
 
     if dual_v:
-        dv_tol = max(25.0 * (grid.h / width) ** 2, 1e-9)
         checks["dual_v"] = {
             "max_rel_err": series.dual_v_max_rel_err,
-            "tol": dv_tol,
-            "pass": series.dual_v_max_rel_err <= dv_tol,
+            "tol": field_tol,
+            "pass": series.dual_v_max_rel_err <= field_tol,
         }
 
     payload = _summary_dict(config, ex)
@@ -275,7 +268,7 @@ def cmd_converge(config: ExperimentConfig, levels: int = 3) -> int:
         rows.append({"n_points": n_k, "h": grid.h, "l2_error": err})
     order = convergence_order([(row["h"], row["l2_error"]) for row in rows])
     payload = {
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "backend": BACKEND,
         "levels": rows,
         "observed_order": order,
@@ -294,9 +287,9 @@ def cmd_growth(config: ExperimentConfig) -> int:
 
     oracle_section = None
     if config.profile.strip().lower().startswith("const:"):
-        result = growth_slope(ex["data"], speed=ex["profile"].a0)
+        result = growth_slope(ex.series.data, speed=ex.series.profile.a0)
         oracle_section = dataclasses.asdict(result)
-        if growth is not None and ex["hypothesis_violation"] and result.value > 0:
+        if growth is not None and ex.hypothesis_violation and result.value > 0:
             rel = abs(growth["sq_norm_slope"] - result.value) / result.value
             oracle_section["slope_rel_diff"] = rel
             oracle_section["pass"] = rel <= 0.10

@@ -214,8 +214,10 @@ def tv_tail_estimate(profile: CoefficientProfile, T: float) -> float:
 
 
 def constant_profile(value: float) -> CoefficientProfile:
-    if not (math.isfinite(value) and value > 0.0):
-        raise PositivityError(f"constant speed must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0.0 and value * value > 0.0):
+        raise PositivityError(
+            f"constant speed must be positive with a nonzero square, got {value}"
+        )
 
     def a(t):
         return np.full_like(t, value, dtype=float)

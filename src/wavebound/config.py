@@ -7,7 +7,7 @@ that a config file cannot silently misspell a field.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from wavebound.errors import ConfigError
 
@@ -54,9 +54,6 @@ class ExperimentConfig:
         if not (math.isfinite(self.data_scale) and math.isfinite(self.data_shift)):
             raise ConfigError("data_scale and data_shift must be finite")
         return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

@@ -17,16 +17,17 @@ A snapshot carries three consecutive levels so time derivatives can be
 centered, plus the antiderivative field of each level by cumulative
 trapezoid. Each field level is stepped once and integrated once: the level
 after a snapshot is the next step proper, and consecutive snapshots pass
-their antiderivatives along. Only the final snapshot steps once past t_end,
-unchecked. The kernel never writes into the levels it is given, so no level
-is copied before a step. An optional cross-check also evolves the
-antiderivative field with the same stencil from its own initial data and
-compares.
+their antiderivatives along. The final snapshot steps once past t_end,
+checked like every other step. The kernel never writes into the levels it is
+given, so no level is copied before a step. An optional cross-check also
+evolves the antiderivative field with the same stencil from its own initial
+data and compares.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -193,8 +194,6 @@ def advance(u_prev: np.ndarray, u_curr: np.ndarray, lam2: np.ndarray, level: int
 
 
 def _snapshot_levels(n_steps: int, snapshots: int) -> np.ndarray:
-    if n_steps == 0:
-        return np.array([0], dtype=int)
     count = max(2, min(snapshots, n_steps + 1))
     return np.unique(np.rint(np.linspace(0, n_steps, count)).astype(int))
 
@@ -216,21 +215,17 @@ def run(
     """
     profile, data, grid, u0, u1, lam2 = _resolve(config)
 
-    archive = open(archive_path, "w", encoding="utf-8") if archive_path else None
-    try:
+    with (
+        open(archive_path, "w", encoding="utf-8") if archive_path else nullcontext()
+    ) as archive:
         series = analysis.DiagnosticSeries(
             records=[], profile=profile, data=data, grid=grid
         )
         rec0, recon0 = analysis.initial_record(u0, u1, profile, grid)
-        series.records.append(rec0)
-        series.recon_rel_err.append(recon0)
+        series.append(rec0, recon0)
         series.cone_ok &= _cone_exact(u0, data, grid, level=0)
         if archive:
             _write_archive_record(archive, 0.0, u0)
-
-        if grid.n_steps == 0:
-            series.finalize()
-            return series
 
         u_prev, u_curr = u0, first_step(u0, u1, profile.a0, grid)
         dual = _DualVState(u0, u1, profile.a0, grid) if dual_v_check else None
@@ -257,29 +252,20 @@ def run(
                 v_prev, v_curr = v_curr, v_next
             if dual is not None:
                 dual.compare(v_curr)
-            if level < grid.n_steps:
-                stepped = advance(u_prev, u_curr, lam2[level : level + 1], level)
-                if dual is not None:
-                    dual.advance(level, level + 1, lam2)
-            else:
-                # past t_end only for the centered time derivative, unchecked
-                stepped = advance_steps(u_prev, u_curr, lam2[level : level + 1])
+            stepped = advance(u_prev, u_curr, lam2[level : level + 1], level)
+            if dual is not None:
+                dual.advance(level, level + 1, lam2)
             u_next = stepped[1]
             v_next = cumtrapz(u_next, grid.h)
             rec, recon = analysis.snapshot_record(
                 t_here, u_prev, u_curr, u_next, v_prev, v_curr, v_next, profile, grid
             )
-            series.records.append(rec)
-            series.recon_rel_err.append(recon)
+            series.append(rec, recon)
             u_prev, u_curr = stepped
             level += 1
         if dual is not None:
             series.dual_v_max_rel_err = dual.max_rel_err
-        series.finalize()
         return series
-    finally:
-        if archive:
-            archive.close()
 
 
 def evolve_final(config: ExperimentConfig):

@@ -24,7 +24,7 @@ REPO = Path(__file__).resolve().parent.parent
 def run_cache():
     """Session cache of diagnostic series keyed by config fields.
 
-    State from a run is immutable once finalized, so sharing across tests is
+    A returned series is not appended to again, so sharing across tests is
     safe and keeps the suite fast.
     """
     cache = {}

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +252,33 @@ def test_verify_oscillating_profile_uses_variation_bound(tmp_path):
     assert "envelopes" not in payload["checks"] or payload["checks"]["envelopes"] == {}
 
 
+def test_verify_zero_horizon_with_dual_v(tmp_path):
+    out = tmp_path / "zero"
+    argv = ("verify", "--profile", "const:1", "--data", "bump", "--t-end", "0", "--dual-v")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    dual_v = json.loads((out / "verify.json").read_text())["checks"]["dual_v"]
+    assert dual_v["max_rel_err"] == 0.0 and dual_v["pass"] is True
+
+
+def test_decaying_speed_bound_divides_by_the_speed_floor(tmp_path):
+    # a^2 ||u||^2 <= 2 E_v(t) <= 2 E_v(0) = I0^2: the bound is I0^2 / A0^2,
+    # which displacement-only data reach at t = 0
+    out = tmp_path / "slow"
+    argv = ("verify", "--profile", "const:0.5", "--data", "bump", "--t-end", "2",
+            "--n-points", "401", "--out", str(out))
+    assert run_cli(*argv) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    bounds = {b["theorem"]: b for b in payload["bounds"]}
+    assert bounds["Cor1.1"]["bound_value"] == payload["moment"]["I0_sq"] / 0.25
+    assert bounds["Cor1.1"]["pass"] is True
+
+
+def test_speed_whose_square_underflows_is_rejected(tmp_path, capsys):
+    argv = ("verify", "--profile", "const:1e-200", "--data", "odd-velocity", "--t-end", "1")
+    assert run_cli(*argv, "--out", str(tmp_path / "v")) == 2
+    assert "constant speed must be positive" in capsys.readouterr().err
+
+
 def test_exit_status_reflects_pass_fields(tmp_path, capsys):
     assert _collect_passes({"a": {"pass": True}, "b": [{"pass": True}]}) == [True, True]
     assert False in _collect_passes({"deep": {"x": [{"pass": False}], "pass": True}})
@@ -466,7 +495,9 @@ def test_json_output_is_byte_identical(tmp_path, capsys, name, argv, digest):
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(["bump", "bump-velocity", "odd-velocity", "derivative-velocity"]),
-    profile=st.sampled_from(["const:1", "example1", "example2a", "example2b", "example3"]),
+    profile=st.sampled_from(
+        ["const:1", "const:0.5", "const:2", "example1", "example2a", "example2b", "example3"]
+    ),
     scale=st.floats(0.1, 5.0),
     shift=st.floats(-2.0, 2.0),
     width=st.floats(0.25, 2.0),
@@ -490,10 +521,21 @@ def test_regime_follows_the_exact_moment_and_bounds_pass(
         return
     ex = _experiment(config)
     bounded = family != "bump-velocity"
-    assert ex["report"].v1_in_L2 is bounded
-    assert ex["hypothesis_violation"] is not bounded
-    assert bool(ex["bounds"]) is bounded
-    assert all(rep.passed for rep in ex["bounds"])
+    assert ex.report.v1_in_L2 is bounded
+    assert ex.hypothesis_violation is not bounded
+    assert bool(ex.bounds) is bounded
+    assert all(rep.passed for rep in ex.bounds)
+
+
+def test_trace_patch_targets_are_callable():
+    # the benchmark's tracer replaces these module attributes by name
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing._PATCHES:
+        target = getattr(importlib.import_module(f"wavebound.{module}"), attr, None)
+        assert callable(target), f"wavebound.{module}.{attr}"
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -241,6 +241,23 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         assert len(integrals) <= len(series.records) + 2
 
 
+def test_step_past_t_end_is_checked(monkeypatch):
+    # every kernel call after the one up to t_end returns a non-finite field
+    calls = []
+
+    def poisoned_after_first(u_prev, u_curr, lam2, *edges):
+        calls.append(len(lam2))
+        new_prev, new_curr = advance_steps(u_prev, u_curr, lam2, *edges)
+        return new_prev, new_curr if len(calls) == 1 else new_curr * np.nan
+
+    monkeypatch.setattr(solver, "advance_steps", poisoned_after_first)
+    cfg = ExperimentConfig(profile="const:1", data="bump", t_end=1.0, n_points=501, snapshots=2)
+    n_steps = solver.init_grid(get_data("bump"), get_profile("const:1"), 1.0, n_points=501).n_steps
+    with pytest.raises(BlowUpError) as info:
+        solver.run(cfg)
+    assert info.value.step_index == n_steps + 1
+
+
 def _cone_by_mask(u, x, r, level, h):
     return bool(np.all(u[np.abs(x) > r + level * h + 0.5 * h] == 0.0))
 
