@@ -20,9 +20,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from wavebound.coefficients import AssumptionFlags, CoefficientProfile, evaluate
-from wavebound.errors import FitError, HypothesisError, SeriesError, WaveboundError
-from wavebound.grids import GridSpec, centered_diff, cumtrapz, trapz_sq
+from wavebound.errors import (
+    FitError,
+    HypothesisError,
+    ProfileError,
+    SeriesError,
+    WaveboundError,
+)
+from wavebound.grids import GridSpec, cumtrapz, trapz_sq, trapz_sq_from_sum
 from wavebound.initial_data import InitialData, MomentReport
+from wavebound.kernels import snapshot_sums
 
 BOUND_LABELS = ("Thm1.1", "Cor1.1", "Cor1.2")
 
@@ -104,40 +111,60 @@ def l2_norm_sq(fld: np.ndarray, grid: GridSpec) -> float:
     return trapz_sq(fld, grid.h)
 
 
-def _record_from_fields(t, u_curr, u_t, v_curr, v_t, a_t, ap_t, grid):
-    dv = centered_diff(v_curr, grid.h)
-    l2u = trapz_sq(u_curr, grid.h)
-    l2vx = trapz_sq(dv, grid.h)
-    e_u = 0.5 * (
-        trapz_sq(u_t, grid.h)
-        + a_t * a_t * trapz_sq(centered_diff(u_curr, grid.h), grid.h)
+def _record(t, u_prev, u_curr, u_next, v_prev, v_curr, a_t, ap_t, h, dt):
+    """The record, reconstruction error and ``v_next`` from one kernel pass.
+
+    The kernel returns the raw sums of squares; the trapezoid's edge terms
+    come from the edge values of the same fields: the centered differences
+    are zero there.
+    """
+    v_next, (s_u, s_du, s_dv, s_rec, s_ut, s_vt) = snapshot_sums(
+        u_prev, u_curr, u_next, v_prev, v_curr, h, dt
     )
-    e_v = 0.5 * (trapz_sq(v_t, grid.h) + a_t * a_t * l2vx)
-    recon = math.sqrt(trapz_sq(dv - u_curr, grid.h)) / max(1.0, math.sqrt(l2u))
-    return DiagnosticRecord(t, l2u, e_u, e_v, l2vx, a_t, ap_t), recon
+    two_dt = 2.0 * dt
+    l2u = trapz_sq_from_sum(s_u, u_curr[0], u_curr[-1], h)
+    l2vx = trapz_sq_from_sum(s_dv, 0.0, 0.0, h)
+    l2_ut = trapz_sq_from_sum(
+        s_ut, (u_next[0] - u_prev[0]) / two_dt, (u_next[-1] - u_prev[-1]) / two_dt, h
+    )
+    l2_vt = trapz_sq_from_sum(
+        s_vt, (v_next[0] - v_prev[0]) / two_dt, (v_next[-1] - v_prev[-1]) / two_dt, h
+    )
+    e_u = 0.5 * (l2_ut + a_t * a_t * trapz_sq_from_sum(s_du, 0.0, 0.0, h))
+    e_v = 0.5 * (l2_vt + a_t * a_t * l2vx)
+    l2_rec = trapz_sq_from_sum(s_rec, 0.0 - u_curr[0], 0.0 - u_curr[-1], h)
+    recon = math.sqrt(l2_rec) / max(1.0, math.sqrt(l2u))
+    return DiagnosticRecord(t, l2u, e_u, e_v, l2vx, a_t, ap_t), recon, v_next
 
 
 def initial_record(u0, u1, profile: CoefficientProfile, grid: GridSpec):
-    """Diagnostic record at t = 0, using the exact initial velocity."""
+    """Diagnostic record at t = 0, using the exact initial velocity.
+
+    Returns the record and the reconstruction error. The kernel pass takes
+    ``u1`` as the next level of a zero previous level with dt = 1/2, so its
+    centered time differences are ``u1`` and the antiderivative of ``u1``
+    exactly.
+    """
     a0, ap0 = evaluate(profile, 0.0)
-    v0 = cumtrapz(u0, grid.h)
-    v1 = cumtrapz(u1, grid.h)
-    return _record_from_fields(0.0, u0, u1, v0, v1, a0, ap0, grid)
+    zero = np.zeros_like(u0, dtype=float)
+    rec, recon, _ = _record(
+        0.0, zero, u0, u1, zero, cumtrapz(u0, grid.h), a0, ap0, grid.h, 0.5
+    )
+    return rec, recon
 
 
 def snapshot_record(
-    t, u_prev, u_curr, u_next, v_prev, v_curr, v_next, profile: CoefficientProfile, grid: GridSpec
+    t, u_prev, u_curr, u_next, v_prev, v_curr, profile: CoefficientProfile, grid: GridSpec
 ):
     """Diagnostic record at an interior snapshot from three field levels.
 
-    ``v_prev``, ``v_curr`` and ``v_next`` are the antiderivatives of the
-    three levels (``cumtrapz`` of each), which the caller computes once per
-    level.
+    ``v_prev`` and ``v_curr`` are the antiderivatives (``cumtrapz``) of the
+    first two levels. Returns the record, the reconstruction error and
+    ``v_next``, the antiderivative of ``u_next``, which the same kernel pass
+    computes.
     """
     a_t, ap_t = evaluate(profile, t)
-    u_t = (u_next - u_prev) / (2.0 * grid.dt)
-    v_t = (v_next - v_prev) / (2.0 * grid.dt)
-    return _record_from_fields(t, u_curr, u_t, v_curr, v_t, a_t, ap_t, grid)
+    return _record(t, u_prev, u_curr, u_next, v_prev, v_curr, a_t, ap_t, grid.h, grid.dt)
 
 
 def energy_identity_residual(series: DiagnosticSeries):
@@ -169,7 +196,11 @@ def theorem_bound(
     profile: CoefficientProfile,
     epsilon: float = 0.02,
 ) -> list:
-    """Closed-form bound skeletons for every statement whose hypotheses hold."""
+    """Closed-form bound skeletons for every statement whose hypotheses hold.
+
+    Raises HypothesisError in the growth regime, WaveboundError when no
+    statement applies, and ProfileError when a bound is not finite.
+    """
     if not report.v1_in_L2:
         raise HypothesisError(
             f"velocity moment c0={report.c0:.6g} does not vanish: the "
@@ -192,6 +223,14 @@ def theorem_bound(
     if flags.a4_holds:
         grow = math.exp((2.0 / flags.A0) * flags.tv_total)
         out.append(BoundReport("Cor1.2", floor_bound * grow, epsilon=epsilon))
+    for rep in out:
+        if not math.isfinite(rep.bound_value):
+            # an overflowing bound would pass every check vacuously
+            raise ProfileError(
+                f"the {rep.theorem} bound overflows (I0^2={report.I0_sq:.6g}, "
+                f"a0={profile.a0:.6g}, A0={flags.A0:.6g}): the speed floor is too "
+                "small for a finite bound"
+            )
     return out
 
 

@@ -214,9 +214,10 @@ def tv_tail_estimate(profile: CoefficientProfile, T: float) -> float:
 
 
 def constant_profile(value: float) -> CoefficientProfile:
-    if not (math.isfinite(value) and value > 0.0 and value * value > 0.0):
+    # a NaN or infinite value fails one of the comparisons
+    if not (value > 0.0 and 0.0 < value * value < math.inf):
         raise PositivityError(
-            f"constant speed must be positive with a nonzero square, got {value}"
+            f"constant speed must be positive with a finite nonzero square, got {value}"
         )
 
     def a(t):

@@ -1,22 +1,25 @@
-"""Stencil kernel backend selection.
+"""Kernel backend selection: the stencil update and the snapshot pass.
 
 The compiled backend is the C library built from ``stencil.c`` next to this
 file by ``python setup.py build_ext --inplace`` (or ``pip install
 --no-build-isolation -e .``) and loaded with ctypes. When the library is not
-there, or fails to load, the numpy reference implementation is used. Both
-produce bit-identical fields, check their arguments the same way and never
-write into their inputs; the parity tests load both backends directly.
+there, fails to load or lacks either function, the numpy reference
+implementation is used for both, so ``BACKEND`` names the one backend that
+serves ``advance_steps`` and ``snapshot_sums``. Both backends produce
+bit-identical results, check their arguments the same way and never write
+into their inputs; the parity tests load both backends directly.
 """
 
 import ctypes
 import importlib.machinery
 import os
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from wavebound.kernels import reference
-from wavebound.kernels.reference import checked_arrays
+from wavebound.kernels.reference import checked_arrays, checked_levels
 
 # file name stem of the compiled library; no Python module has this name
 LIBRARY = "_stencil_c"
@@ -32,20 +35,36 @@ def library_path(directory):
     return None
 
 
-def load(path):
-    """The compiled ``advance_steps`` from the library at ``path``.
+class Backend(NamedTuple):
+    """The two kernel functions, both from one backend."""
 
-    It takes the arguments of the reference backend and returns the same
-    bits. Like the reference backend, it copies its inputs into a ring of
-    three levels that the C loop cycles through, so they are never written.
+    advance_steps: Callable
+    snapshot_sums: Callable
+
+
+def load(path) -> Backend:
+    """The compiled backend from the library at ``path``.
+
+    Its functions take the arguments of the reference backend and return
+    the same bits. Raises OSError when the file is not a loadable library
+    and AttributeError when it lacks one of the functions (a library built
+    from an older ``stencil.c``).
     """
-    c_steps = ctypes.CDLL(os.fspath(path)).advance_steps
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    lib = ctypes.CDLL(os.fspath(path))
+    c_steps, c_sums = lib.advance_steps, lib.snapshot_sums
+    ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     c_steps.argtypes = (ptr, ptr, ptr, size, ptr, size, ptr)
     c_steps.restype = None
+    c_sums.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, size, real, real, ptr)
+    c_sums.restype = None
 
     def advance_steps(u_prev, u_curr, lam2, right=None):
-        """Advance the recurrence len(lam2) steps in C; see the reference backend."""
+        """Advance the recurrence len(lam2) steps in C; see the reference backend.
+
+        Like the reference backend, it copies its inputs into a ring of
+        three levels that the C loop cycles through, so they are never
+        written.
+        """
         u_prev, u_curr, lam2, right = checked_arrays(u_prev, u_curr, lam2, right)
         ring = (u_prev.copy(), u_curr.copy(), np.empty_like(u_curr))
         c_steps(
@@ -55,14 +74,28 @@ def load(path):
         k = lam2.size % 3
         return ring[k], ring[(k + 1) % 3]
 
-    return advance_steps
+    def snapshot_sums(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
+        """One snapshot's antiderivative and six sums in C; see the reference backend."""
+        levels = checked_levels(
+            u_prev=u_prev, u_curr=u_curr, u_next=u_next, v_prev=v_prev, v_curr=v_curr
+        )
+        v_next = np.empty_like(levels[2])
+        sums = np.empty(6)
+        c_sums(
+            *(f.ctypes.data for f in levels), v_next.ctypes.data, v_next.size,
+            h, dt, sums.ctypes.data,
+        )
+        return v_next, sums.tolist()
+
+    return Backend(advance_steps, snapshot_sums)
 
 
-advance_steps = reference.advance_steps
+advance_steps, snapshot_sums = reference.advance_steps, reference.snapshot_sums
 BACKEND = "python"
 _library = library_path(Path(__file__).parent)
 if _library is not None:
     try:
-        advance_steps, BACKEND = load(_library), "compiled"
-    except OSError:
-        pass  # not a loadable library here: keep the numpy kernel
+        advance_steps, snapshot_sums = load(_library)
+        BACKEND = "compiled"
+    except (OSError, AttributeError):
+        pass  # not a loadable library with both functions: keep numpy for both

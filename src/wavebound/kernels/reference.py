@@ -1,29 +1,41 @@
-"""Pure numpy implementation of the three-level stencil update.
+"""Pure numpy implementation of the stencil update and the snapshot pass.
 
 This is the fallback backend used when the compiled kernel is not built.
 The arithmetic is written to match the compiled kernel operation for
-operation, so the two backends produce bit-identical fields. Both take their
-arguments through :func:`checked_arrays`.
+operation, so the two backends produce bit-identical results. Both take
+their arguments through :func:`checked_arrays` and :func:`checked_levels`.
 """
 
 import numpy as np
 
+from wavebound.grids import centered_diff, cumtrapz
 
-def checked_arrays(u_prev, u_curr, lam2, right):
-    """The kernel arguments as contiguous float64 arrays, or ValueError.
+
+def checked_levels(**levels):
+    """The named field levels as contiguous float64 arrays, or ValueError.
 
     The compiled kernel indexes raw pointers, so every length it relies on
-    is checked here, before any backend reads a value.
+    is checked here, before any backend reads a value: the levels are 1-D,
+    of one length, and at least 3 nodes long.
     """
-    u_prev = np.ascontiguousarray(u_prev, dtype=np.float64)
-    u_curr = np.ascontiguousarray(u_curr, dtype=np.float64)
+    arrays = [np.ascontiguousarray(f, dtype=np.float64) for f in levels.values()]
+    names = list(levels)
+    for name, f in zip(names, arrays):
+        if f.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D array, got shape {f.shape}")
+        if f.size != arrays[0].size:
+            raise ValueError(f"{names[0]} has {arrays[0].size} nodes but {name} has {f.size}")
+    if arrays[0].size < 3:
+        raise ValueError(f"the stencil needs at least 3 nodes, got {arrays[0].size}")
+    return arrays
+
+
+def checked_arrays(u_prev, u_curr, lam2, right):
+    """The stepping arguments as contiguous float64 arrays, or ValueError."""
+    u_prev, u_curr = checked_levels(u_prev=u_prev, u_curr=u_curr)
     lam2 = np.ascontiguousarray(lam2, dtype=np.float64)
-    if u_prev.ndim != 1 or u_curr.ndim != 1 or lam2.ndim != 1:
-        raise ValueError("u_prev, u_curr and lam2 must be 1-D arrays")
-    if u_prev.size != u_curr.size:
-        raise ValueError(f"u_prev has {u_prev.size} nodes but u_curr has {u_curr.size}")
-    if u_curr.size < 3:
-        raise ValueError(f"the stencil needs at least 3 nodes, got {u_curr.size}")
+    if lam2.ndim != 1:
+        raise ValueError(f"lam2 must be a 1-D array, got shape {lam2.shape}")
     if right is not None:
         right = np.ascontiguousarray(right, dtype=np.float64)
         if right.ndim != 1 or right.size < lam2.size:
@@ -66,3 +78,28 @@ def advance_steps(u_prev, u_curr, lam2, right=None):
         c[-1] = 0.0 if right is None else right[s]
     k = lam2.size % 3
     return ring[k], ring[(k + 1) % 3]
+
+
+def snapshot_sums(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
+    """One snapshot's antiderivative and raw sums of squares.
+
+    Returns ``v_next``, the cumulative trapezoid of ``u_next``, and the six
+    sums ``np.sum(f * f)`` for ``f`` = ``u_curr``, ``D u_curr``,
+    ``D v_curr``, ``D v_curr - u_curr``, ``u_t`` and ``v_t``, where ``D`` is
+    the centered difference and the time derivatives are centered across
+    the three levels. The inputs are never written.
+    """
+    u_prev, u_curr, u_next, v_prev, v_curr = checked_levels(
+        u_prev=u_prev, u_curr=u_curr, u_next=u_next, v_prev=v_prev, v_curr=v_curr
+    )
+    v_next = cumtrapz(u_next, h)
+    dv = centered_diff(v_curr, h)
+    fields = (
+        u_curr,
+        centered_diff(u_curr, h),
+        dv,
+        dv - u_curr,
+        (u_next - u_prev) / (2.0 * dt),
+        (v_next - v_prev) / (2.0 * dt),
+    )
+    return v_next, [float(np.sum(f * f)) for f in fields]

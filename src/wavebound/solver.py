@@ -16,8 +16,9 @@ left it non-finite. ``run`` adds the snapshot diagnostics and
 A snapshot carries three consecutive levels so time derivatives can be
 centered, plus the antiderivative field of each level by cumulative
 trapezoid. Each field level is stepped once and integrated once: the level
-after a snapshot is the next step proper, and consecutive snapshots pass
-their antiderivatives along. The final snapshot steps once past t_end,
+after a snapshot is the next step proper, its antiderivative comes out of
+the snapshot's kernel pass, and consecutive snapshots pass their
+antiderivatives along. The final snapshot steps once past t_end,
 checked like every other step. The kernel never writes into the levels it is
 given, so no level is copied before a step. An optional cross-check also
 evolves the antiderivative field with the same stencil from its own initial
@@ -255,10 +256,8 @@ def run(
             stepped = advance(u_prev, u_curr, lam2[level : level + 1], level)
             if dual is not None:
                 dual.advance(level, level + 1, lam2)
-            u_next = stepped[1]
-            v_next = cumtrapz(u_next, grid.h)
-            rec, recon = analysis.snapshot_record(
-                t_here, u_prev, u_curr, u_next, v_prev, v_curr, v_next, profile, grid
+            rec, recon, v_next = analysis.snapshot_record(
+                t_here, u_prev, u_curr, stepped[1], v_prev, v_curr, profile, grid
             )
             series.append(rec, recon)
             u_prev, u_curr = stepped

@@ -69,6 +69,14 @@ def copy_package(root):
     return root
 
 
+def c_compiler():
+    """The C compiler setup.py would use, or skip the test when there is none."""
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc!r} not found), so the compiled kernel cannot be built")
+    return cc
+
+
 @pytest.fixture(scope="session")
 def numpy_root(tmp_path_factory):
     """A directory holding a ``wavebound`` package with no compiled kernel."""
@@ -87,9 +95,7 @@ def compiled_root(tmp_path_factory):
     package = Path(kernels.__file__).resolve().parent.parent
     if kernels.library_path(package / "kernels") is not None:
         return package.parent
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc!r} not found), so the compiled kernel cannot be built")
+    c_compiler()
     root = copy_package(tmp_path_factory.mktemp("compiled"))
     subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
@@ -100,8 +106,14 @@ def compiled_root(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def compiled_steps(compiled_root):
-    """The compiled backend's ``advance_steps``, loaded as the package loads it."""
+def compiled_backend(compiled_root):
+    """The compiled backend, loaded as the package loads it."""
     path = kernels.library_path(compiled_root / "wavebound" / "kernels")
     assert path is not None, "setup.py build_ext built no compiled kernel with a C compiler present"
     return kernels.load(path)
+
+
+@pytest.fixture(scope="session")
+def compiled_steps(compiled_backend):
+    """The compiled backend's ``advance_steps``."""
+    return compiled_backend.advance_steps

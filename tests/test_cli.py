@@ -279,6 +279,20 @@ def test_speed_whose_square_underflows_is_rejected(tmp_path, capsys):
     assert "constant speed must be positive" in capsys.readouterr().err
 
 
+def test_speed_whose_square_overflows_is_rejected(tmp_path, capsys):
+    argv = ("verify", "--profile", "const:1e200", "--data", "odd-velocity", "--t-end", "1")
+    assert run_cli(*argv, "--n-points", "201", "--out", str(tmp_path / "v")) == 2
+    assert "constant speed must be positive with a finite nonzero square" in capsys.readouterr().err
+
+
+def test_bound_that_overflows_is_an_error(tmp_path, capsys):
+    # a0^2 = 1e-320 is subnormal: I0^2 / a0^2 overflows and would pass vacuously
+    argv = ("verify", "--profile", "const:1e-160", "--data", "odd-velocity", "--t-end", "1")
+    assert run_cli(*argv, "--n-points", "201", "--out", str(tmp_path / "v")) == 2
+    err = capsys.readouterr().err
+    assert "bound overflows" in err and "a0=1e-160" in err and "A0=1e-160" in err
+
+
 def test_exit_status_reflects_pass_fields(tmp_path, capsys):
     assert _collect_passes({"a": {"pass": True}, "b": [{"pass": True}]}) == [True, True]
     assert False in _collect_passes({"deep": {"x": [{"pass": False}], "pass": True}})
@@ -399,22 +413,38 @@ def test_reference_series_csv_is_byte_identical(tmp_path, capsys):
     assert digest == REFERENCE_SERIES_SHA256
 
 
+# example3 / bump with one snapshot per step: every record from the kernel's
+# snapshot pass, pinned below by test_dense_snapshot_series_csv_is_byte_identical
+DENSE_SERIES_SHA256 = "27dede99000af03df5b2dc71f6f1a5790085280a67f0aa363b04ea67e603c36c"
+
+
 def test_series_csv_is_byte_identical_on_both_backends(tmp_path, compiled_root, numpy_root):
     # the backend follows from whether the package holds the built library
-    digests = {}
-    for backend, root in (("python", numpy_root), ("compiled", compiled_root)):
-        out = tmp_path / backend
-        env = dict(os.environ, PYTHONPATH=str(root))
-        subprocess.run(
-            [sys.executable, "-m", "wavebound.cli", "simulate", "--profile", "example1",
-             "--data", "derivative-velocity", "--t-end", "50", "--n-points", "4001",
-             "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-        assert summary["backend"] == backend
-        digests[backend] = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
-    assert digests == {"python": REFERENCE_SERIES_SHA256, "compiled": REFERENCE_SERIES_SHA256}
+    jobs = {
+        "reference": (
+            ["--profile", "example1", "--data", "derivative-velocity", "--t-end", "50",
+             "--n-points", "4001"],
+            REFERENCE_SERIES_SHA256,
+        ),
+        "dense": (
+            ["--profile", "example3", "--data", "bump", "--t-end", "20", "--n-points", "1001",
+             "--snapshots", "100000"],
+            DENSE_SERIES_SHA256,
+        ),
+    }
+    for job, (args, digest) in jobs.items():
+        digests = {}
+        for backend, root in (("python", numpy_root), ("compiled", compiled_root)):
+            out = tmp_path / job / backend
+            env = dict(os.environ, PYTHONPATH=str(root))
+            subprocess.run(
+                [sys.executable, "-m", "wavebound.cli", "simulate", *args, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+            assert summary["backend"] == backend
+            digests[backend] = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
+        assert digests == {"python": digest, "compiled": digest}, job
 
 
 # series.csv of example3 / bump on 1001 nodes (485 steps), recorded with the
@@ -425,7 +455,7 @@ def test_series_csv_is_byte_identical_on_both_backends(tmp_path, compiled_root, 
 @pytest.mark.parametrize(
     "snapshots,digest",
     [
-        ("100000", "27dede99000af03df5b2dc71f6f1a5790085280a67f0aa363b04ea67e603c36c"),
+        ("100000", DENSE_SERIES_SHA256),
         ("249", "01c92496a797f92b8b852cffafac9903e90baf65c8994f0d13e3b08078fec444"),
     ],
 )

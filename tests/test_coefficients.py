@@ -26,6 +26,13 @@ def test_constant_profile_evaluation():
     assert evaluate(get_profile("const:1"), 5.0) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("value", ["1e-200", "1e200", "inf", "0", "-1"])
+def test_constant_speed_needs_a_finite_nonzero_square(value):
+    # every bound divides by the squared speed, and the grid scales with it
+    with pytest.raises(PositivityError, match="finite nonzero square"):
+        get_profile(f"const:{value}")
+
+
 def test_example2a_at_origin():
     assert evaluate(get_profile("example2a"), 0.0) == (2.0, -1.0)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import c_compiler
 from wavebound import kernels
 from wavebound.initial_data import bump
 from wavebound.kernels import BACKEND, advance_steps
@@ -91,6 +92,55 @@ def test_backends_agree_bit_for_bit(compiled_steps, n, steps, seed, lam_max, wit
         assert np.array_equal(bits(w), bits(g))
 
 
+def snapshot_field(rng, size, scale):
+    """Normal draws times ``scale``, with zeros, -0.0 and subnormals mixed in."""
+    x = scale * rng.standard_normal(size)
+    pick = rng.random(size)
+    x[pick < 0.15] = 0.0
+    x[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    subnormal = (pick >= 0.3) & (pick < 0.4)
+    x[subnormal] = rng.integers(-(2**40), 2**40, int(subnormal.sum())) * 5e-324
+    return x
+
+
+# lengths cross numpy's pairwise-sum boundaries at 8 and 128 terms, and 8001
+# is a grid size; scales reach subnormal squares and squares that overflow
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(3, 300), st.just(8001)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e150, 1e160]),
+    h=st.floats(1e-4, 10.0),
+    dt=st.floats(1e-4, 10.0),
+)
+def test_snapshot_sums_agree_bit_for_bit(compiled_backend, n, seed, scale, h, dt):
+    rng = np.random.default_rng(seed)
+    levels = [snapshot_field(rng, n, scale) for _ in range(5)]
+    before = [bits(f).copy() for f in levels]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is drawn on purpose
+        v_want, sums_want = reference.snapshot_sums(*levels, h, dt)
+    v_got, sums_got = compiled_backend.snapshot_sums(*levels, h, dt)
+    assert np.array_equal(bits(v_want), bits(v_got))
+    assert np.array_equal(bits(sums_want), bits(sums_got))
+    for f, was in zip(levels, before):
+        assert np.array_equal(bits(f), was)
+
+
+@pytest.fixture(params=["python", "compiled"])
+def sums_backend(request):
+    if request.param == "python":
+        return reference.snapshot_sums
+    return request.getfixturevalue("compiled_backend").snapshot_sums
+
+
+def test_snapshot_sums_reject_levels_of_different_lengths(sums_backend):
+    levels = [np.zeros(50)] * 4 + [np.zeros(49)]
+    with pytest.raises(ValueError, match="u_prev has 50 nodes but v_curr has 49"):
+        sums_backend(*levels, 0.1, 0.1)
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        sums_backend(*[np.zeros(2)] * 5, 0.1, 0.1)
+
+
 @pytest.fixture(params=["python", "compiled"])
 def backend(request):
     if request.param == "python":
@@ -146,20 +196,35 @@ def test_backend_name_is_reported():
     assert BACKEND in ("compiled", "python")
 
 
-@pytest.mark.parametrize("library", ["missing", "unloadable"])
+@pytest.mark.parametrize("library", ["missing", "unloadable", "stale"])
 def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, library):
     root = numpy_root
-    if library == "unloadable":
+    if library != "missing":
         root = tmp_path
         shutil.copytree(numpy_root / "wavebound", root / "wavebound")
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-        (root / "wavebound" / "kernels" / (kernels.LIBRARY + suffix)).write_bytes(b"")
+        target = root / "wavebound" / "kernels" / (kernels.LIBRARY + suffix)
+        if library == "unloadable":
+            target.write_bytes(b"")
+        else:
+            # built from an older stencil.c: it exports advance_steps only
+            source = tmp_path / "stale.c"
+            source.write_text("void advance_steps(void) {}\n")
+            subprocess.run(
+                [c_compiler(), "-shared", "-fPIC", "-o", str(target), str(source)],
+                check=True, capture_output=True, timeout=120,
+            )
         assert kernels.library_path(root / "wavebound" / "kernels") is not None
-    probe = [sys.executable, "-c", "import wavebound.kernels as k; print(k.BACKEND)"]
+    probe = [
+        sys.executable, "-c",
+        "import wavebound.kernels as k; "
+        "print(k.BACKEND, k.advance_steps.__module__, k.snapshot_sums.__module__)",
+    ]
     env = dict(os.environ, PYTHONPATH=str(root))
     result = subprocess.run(probe, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "python"
+    reference_module = "wavebound.kernels.reference"
+    assert result.stdout.split() == ["python", reference_module, reference_module]
 
 
 def plain_expression_steps(u_prev, u_curr, lam2, right=None):

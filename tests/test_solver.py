@@ -13,7 +13,7 @@ from wavebound.coefficients import get_profile
 from wavebound.errors import BlowUpError, CapacityError, ConfigError
 from wavebound.grids import GridSpec, cumtrapz, second_diff
 from wavebound.initial_data import get_data
-from wavebound.kernels import advance_steps
+from wavebound.kernels import advance_steps, snapshot_sums
 from wavebound.oracles import convergence_order, dalembert
 
 
@@ -230,15 +230,24 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         integrals.append(1)
         return cumtrapz(f, h)
 
+    def counting_sums(*args):
+        # the snapshot's kernel pass integrates its next level
+        integrals.append(1)
+        return snapshot_sums(*args)
+
     monkeypatch.setattr(solver, "advance_steps", counting_steps)
     monkeypatch.setattr(solver, "cumtrapz", counting_cumtrapz)
+    monkeypatch.setattr(analysis, "cumtrapz", counting_cumtrapz)
+    monkeypatch.setattr(analysis, "snapshot_sums", counting_sums)
     cfg = ExperimentConfig(profile="example3", data="bump", t_end=5.0, n_points=501, snapshots=snapshots)
     series = solver.run(cfg)
     # levels 2..n_steps plus the one past t_end for the final snapshot
     assert sum(steps) == series.grid.n_steps
     if snapshots > series.grid.n_steps:
         assert len(series.records) == series.grid.n_steps + 1
-        assert len(integrals) <= len(series.records) + 2
+        # levels 0..n_steps + 1 once each, plus level 0 and the initial
+        # velocity for the record at t = 0
+        assert len(integrals) == series.grid.n_steps + 4
 
 
 def test_step_past_t_end_is_checked(monkeypatch):
