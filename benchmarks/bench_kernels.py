@@ -1,7 +1,7 @@
 """Benchmark the compiled kernels against the numpy fallback.
 
 Runs the same multi-step advance through both backends, then the same
-snapshot pass (antiderivative and six sums of squares) on an 8001-node
+snapshot pass (antiderivative and six squared trapezoid norms) on an 8001-node
 snapshot, checks that the results are bit-identical, and reports
 throughput and microseconds per snapshot. Build the compiled kernel first
 (``python setup.py build_ext --inplace``), then invoke directly:
@@ -60,13 +60,13 @@ def snapshot_problem(n_points):
     return (u_prev, u_curr, u_next, v_prev, v_curr, h, dt)
 
 
-def time_snapshot(snapshot_sums, args, repeats=200):
+def time_snapshot(snapshot_norms, args, repeats=200):
     """Best-of-five mean seconds per call over ``repeats`` calls, and the last result."""
     best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
         for _ in range(repeats):
-            result = snapshot_sums(*args)
+            result = snapshot_norms(*args)
         best = min(best, (time.perf_counter() - t0) / repeats)
     return best, result
 
@@ -84,7 +84,7 @@ def main():
 
     t_py, out_py = time_backend(reference.advance_steps, u, lam2)
     print(f"python   backend: {t_py:8.4f} s   {node_steps / t_py / 1e6:8.1f} M node-steps/s")
-    s_py, sums_py = time_snapshot(reference.snapshot_sums, snapshot)
+    s_py, norms_py = time_snapshot(reference.snapshot_norms, snapshot)
     print(f"python   snapshot pass: {s_py * 1e6:8.1f} us per snapshot ({SNAPSHOT_POINTS} nodes)")
 
     if _stencil is None:
@@ -94,13 +94,13 @@ def main():
     t_c, out_c = time_backend(_stencil.advance_steps, u, lam2)
     print(f"compiled backend: {t_c:8.4f} s   {node_steps / t_c / 1e6:8.1f} M node-steps/s")
     print(f"speedup: {t_py / t_c:.2f}x")
-    s_c, sums_c = time_snapshot(_stencil.snapshot_sums, snapshot)
+    s_c, norms_c = time_snapshot(_stencil.snapshot_norms, snapshot)
     print(f"compiled snapshot pass: {s_c * 1e6:8.1f} us per snapshot ({SNAPSHOT_POINTS} nodes)")
     print(f"snapshot speedup: {s_py / s_c:.2f}x")
     identical = (
         np.array_equal(out_py, out_c)
-        and same_bits(sums_py[0], sums_c[0])
-        and same_bits(sums_py[1], sums_c[1])
+        and same_bits(norms_py[0], norms_c[0])
+        and same_bits(norms_py[1], norms_c[1])
     )
     print(f"bit-identical results: {identical}")
     if not identical:

@@ -27,9 +27,9 @@ from wavebound.errors import (
     SeriesError,
     WaveboundError,
 )
-from wavebound.grids import GridSpec, cumtrapz, trapz_sq, trapz_sq_from_sum
+from wavebound.grids import GridSpec, trapz_sq
 from wavebound.initial_data import InitialData, MomentReport
-from wavebound.kernels import snapshot_sums
+from wavebound.kernels import snapshot_norms
 
 BOUND_LABELS = ("Thm1.1", "Cor1.1", "Cor1.2")
 
@@ -78,6 +78,11 @@ class DiagnosticSeries:
     def times(self) -> np.ndarray:
         return self.column("t")
 
+    @property
+    def measured_sup(self) -> float:
+        """The largest squared norm over the snapshots; the bounds are checked against it."""
+        return float(np.max(self.column("l2_u_sq")))
+
 
 @dataclass
 class BoundReport:
@@ -112,44 +117,27 @@ def l2_norm_sq(fld: np.ndarray, grid: GridSpec) -> float:
 
 
 def _record(t, u_prev, u_curr, u_next, v_prev, v_curr, a_t, ap_t, h, dt):
-    """The record, reconstruction error and ``v_next`` from one kernel pass.
-
-    The kernel returns the raw sums of squares; the trapezoid's edge terms
-    come from the edge values of the same fields: the centered differences
-    are zero there.
-    """
-    v_next, (s_u, s_du, s_dv, s_rec, s_ut, s_vt) = snapshot_sums(
+    """The record, reconstruction error and ``v_next`` from one kernel pass."""
+    v_next, (l2u, l2ux, l2vx, l2_rec, l2_ut, l2_vt) = snapshot_norms(
         u_prev, u_curr, u_next, v_prev, v_curr, h, dt
     )
-    two_dt = 2.0 * dt
-    l2u = trapz_sq_from_sum(s_u, u_curr[0], u_curr[-1], h)
-    l2vx = trapz_sq_from_sum(s_dv, 0.0, 0.0, h)
-    l2_ut = trapz_sq_from_sum(
-        s_ut, (u_next[0] - u_prev[0]) / two_dt, (u_next[-1] - u_prev[-1]) / two_dt, h
-    )
-    l2_vt = trapz_sq_from_sum(
-        s_vt, (v_next[0] - v_prev[0]) / two_dt, (v_next[-1] - v_prev[-1]) / two_dt, h
-    )
-    e_u = 0.5 * (l2_ut + a_t * a_t * trapz_sq_from_sum(s_du, 0.0, 0.0, h))
+    e_u = 0.5 * (l2_ut + a_t * a_t * l2ux)
     e_v = 0.5 * (l2_vt + a_t * a_t * l2vx)
-    l2_rec = trapz_sq_from_sum(s_rec, 0.0 - u_curr[0], 0.0 - u_curr[-1], h)
     recon = math.sqrt(l2_rec) / max(1.0, math.sqrt(l2u))
     return DiagnosticRecord(t, l2u, e_u, e_v, l2vx, a_t, ap_t), recon, v_next
 
 
-def initial_record(u0, u1, profile: CoefficientProfile, grid: GridSpec):
+def initial_record(u0, u1, v0, profile: CoefficientProfile, grid: GridSpec):
     """Diagnostic record at t = 0, using the exact initial velocity.
 
-    Returns the record and the reconstruction error. The kernel pass takes
-    ``u1`` as the next level of a zero previous level with dt = 1/2, so its
-    centered time differences are ``u1`` and the antiderivative of ``u1``
-    exactly.
+    ``v0`` is the antiderivative (``cumtrapz``) of ``u0``. Returns the record
+    and the reconstruction error. The kernel pass takes ``u1`` as the next
+    level of a zero previous level with dt = 1/2, so its centered time
+    differences are ``u1`` and the antiderivative of ``u1`` exactly.
     """
     a0, ap0 = evaluate(profile, 0.0)
     zero = np.zeros_like(u0, dtype=float)
-    rec, recon, _ = _record(
-        0.0, zero, u0, u1, zero, cumtrapz(u0, grid.h), a0, ap0, grid.h, 0.5
-    )
+    rec, recon, _ = _record(0.0, zero, u0, u1, zero, v0, a0, ap0, grid.h, 0.5)
     return rec, recon
 
 
@@ -238,7 +226,7 @@ def verify_bound(series: DiagnosticSeries, skeleton: BoundReport) -> BoundReport
     """Fill a bound skeleton with the measured supremum and the verdict."""
     if not series.records:
         raise SeriesError("empty series")
-    measured = float(np.max(series.column("l2_u_sq")))
+    measured = series.measured_sup
     return replace(
         skeleton,
         measured_sup=measured,

@@ -150,7 +150,7 @@ def _summary_dict(config, ex: Experiment, growth=False):
             "tv_tail_estimate": tv_tail_estimate(series.profile, ex.horizon),
         },
         "moment": dataclasses.asdict(ex.report),
-        "measured_sup": float(np.max(series.column("l2_u_sq"))),
+        "measured_sup": series.measured_sup,
         "hypothesis_violation": ex.hypothesis_violation,
         "bounds": [rep.to_json_dict() for rep in ex.bounds],
     }

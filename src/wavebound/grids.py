@@ -32,12 +32,8 @@ class GridSpec:
 
 def trapz_sq(f: np.ndarray, h: float) -> float:
     """Composite trapezoid of f^2 over the grid."""
-    return trapz_sq_from_sum(float(np.sum(f * f)), f[0], f[-1], h)
-
-
-def trapz_sq_from_sum(total: float, first: float, last: float, h: float) -> float:
-    """Composite trapezoid of f^2 from ``total = np.sum(f * f)`` and f's edge values."""
-    return float(h * (total - 0.5 * first * first - 0.5 * last * last))
+    s = float(np.sum(f * f))
+    return float(h * (s - 0.5 * f[0] * f[0] - 0.5 * f[-1] * f[-1]))
 
 
 def trapz(f: np.ndarray, h: float) -> float:

@@ -5,7 +5,7 @@ file by ``python setup.py build_ext --inplace`` (or ``pip install
 --no-build-isolation -e .``) and loaded with ctypes. When the library is not
 there, fails to load or lacks either function, the numpy reference
 implementation is used for both, so ``BACKEND`` names the one backend that
-serves ``advance_steps`` and ``snapshot_sums``. Both backends produce
+serves ``advance_steps`` and ``snapshot_norms``. Both backends produce
 bit-identical results, check their arguments the same way and never write
 into their inputs; the parity tests load both backends directly.
 """
@@ -39,7 +39,7 @@ class Backend(NamedTuple):
     """The two kernel functions, both from one backend."""
 
     advance_steps: Callable
-    snapshot_sums: Callable
+    snapshot_norms: Callable
 
 
 def load(path) -> Backend:
@@ -51,12 +51,12 @@ def load(path) -> Backend:
     from an older ``stencil.c``).
     """
     lib = ctypes.CDLL(os.fspath(path))
-    c_steps, c_sums = lib.advance_steps, lib.snapshot_sums
+    c_steps, c_norms = lib.advance_steps, lib.snapshot_norms
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     c_steps.argtypes = (ptr, ptr, ptr, size, ptr, size, ptr)
     c_steps.restype = None
-    c_sums.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, size, real, real, ptr)
-    c_sums.restype = None
+    c_norms.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, size, real, real, ptr)
+    c_norms.restype = None
 
     def advance_steps(u_prev, u_curr, lam2, right=None):
         """Advance the recurrence len(lam2) steps in C; see the reference backend.
@@ -74,28 +74,28 @@ def load(path) -> Backend:
         k = lam2.size % 3
         return ring[k], ring[(k + 1) % 3]
 
-    def snapshot_sums(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
-        """One snapshot's antiderivative and six sums in C; see the reference backend."""
+    def snapshot_norms(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
+        """One snapshot's antiderivative and six norms in C; see the reference backend."""
         levels = checked_levels(
             u_prev=u_prev, u_curr=u_curr, u_next=u_next, v_prev=v_prev, v_curr=v_curr
         )
         v_next = np.empty_like(levels[2])
-        sums = np.empty(6)
-        c_sums(
+        norms = np.empty(6)
+        c_norms(
             *(f.ctypes.data for f in levels), v_next.ctypes.data, v_next.size,
-            h, dt, sums.ctypes.data,
+            h, dt, norms.ctypes.data,
         )
-        return v_next, sums.tolist()
+        return v_next, norms.tolist()
 
-    return Backend(advance_steps, snapshot_sums)
+    return Backend(advance_steps, snapshot_norms)
 
 
-advance_steps, snapshot_sums = reference.advance_steps, reference.snapshot_sums
+advance_steps, snapshot_norms = reference.advance_steps, reference.snapshot_norms
 BACKEND = "python"
 _library = library_path(Path(__file__).parent)
 if _library is not None:
     try:
-        advance_steps, snapshot_sums = load(_library)
+        advance_steps, snapshot_norms = load(_library)
         BACKEND = "compiled"
     except (OSError, AttributeError):
         pass  # not a loadable library with both functions: keep numpy for both

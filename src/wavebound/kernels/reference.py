@@ -3,12 +3,13 @@
 This is the fallback backend used when the compiled kernel is not built.
 The arithmetic is written to match the compiled kernel operation for
 operation, so the two backends produce bit-identical results. Both take
-their arguments through :func:`checked_arrays` and :func:`checked_levels`.
+their arguments through :func:`checked_arrays` and :func:`checked_levels`,
+and, like the compiled kernel, neither warns on overflow: callers check.
 """
 
 import numpy as np
 
-from wavebound.grids import centered_diff, cumtrapz
+from wavebound.grids import centered_diff, cumtrapz, trapz_sq
 
 
 def checked_levels(**levels):
@@ -63,28 +64,29 @@ def advance_steps(u_prev, u_curr, lam2, right=None):
     u_prev, u_curr, lam2, right = checked_arrays(u_prev, u_curr, lam2, right)
     ring = (u_prev.copy(), u_curr.copy(), np.empty_like(u_curr))
     lap = np.empty(u_curr.size - 2)
-    for s in range(lam2.size):
-        a, b, c = ring[s % 3], ring[(s + 1) % 3], ring[(s + 2) % 3]
-        lam = lam2[s]
-        inner = c[1:-1]
-        np.multiply(2.0, b[1:-1], out=lap)
-        np.subtract(lap, a[1:-1], out=inner)
-        np.multiply(2.0, b[1:-1], out=lap)
-        np.subtract(b[2:], lap, out=lap)
-        np.add(lap, b[:-2], out=lap)
-        np.multiply(lam, lap, out=lap)
-        np.add(inner, lap, out=inner)
-        c[0] = 0.0
-        c[-1] = 0.0 if right is None else right[s]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(lam2.size):
+            a, b, c = ring[s % 3], ring[(s + 1) % 3], ring[(s + 2) % 3]
+            lam = lam2[s]
+            inner = c[1:-1]
+            np.multiply(2.0, b[1:-1], out=lap)
+            np.subtract(lap, a[1:-1], out=inner)
+            np.multiply(2.0, b[1:-1], out=lap)
+            np.subtract(b[2:], lap, out=lap)
+            np.add(lap, b[:-2], out=lap)
+            np.multiply(lam, lap, out=lap)
+            np.add(inner, lap, out=inner)
+            c[0] = 0.0
+            c[-1] = 0.0 if right is None else right[s]
     k = lam2.size % 3
     return ring[k], ring[(k + 1) % 3]
 
 
-def snapshot_sums(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
-    """One snapshot's antiderivative and raw sums of squares.
+def snapshot_norms(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
+    """One snapshot's antiderivative and squared trapezoid norms.
 
     Returns ``v_next``, the cumulative trapezoid of ``u_next``, and the six
-    sums ``np.sum(f * f)`` for ``f`` = ``u_curr``, ``D u_curr``,
+    norms ``trapz_sq(f, h)`` for ``f`` = ``u_curr``, ``D u_curr``,
     ``D v_curr``, ``D v_curr - u_curr``, ``u_t`` and ``v_t``, where ``D`` is
     the centered difference and the time derivatives are centered across
     the three levels. The inputs are never written.
@@ -92,14 +94,15 @@ def snapshot_sums(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
     u_prev, u_curr, u_next, v_prev, v_curr = checked_levels(
         u_prev=u_prev, u_curr=u_curr, u_next=u_next, v_prev=v_prev, v_curr=v_curr
     )
-    v_next = cumtrapz(u_next, h)
-    dv = centered_diff(v_curr, h)
-    fields = (
-        u_curr,
-        centered_diff(u_curr, h),
-        dv,
-        dv - u_curr,
-        (u_next - u_prev) / (2.0 * dt),
-        (v_next - v_prev) / (2.0 * dt),
-    )
-    return v_next, [float(np.sum(f * f)) for f in fields]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_next = cumtrapz(u_next, h)
+        dv = centered_diff(v_curr, h)
+        fields = (
+            u_curr,
+            centered_diff(u_curr, h),
+            dv,
+            dv - u_curr,
+            (u_next - u_prev) / (2.0 * dt),
+            (v_next - v_prev) / (2.0 * dt),
+        )
+        return v_next, [trapz_sq(f, h) for f in fields]

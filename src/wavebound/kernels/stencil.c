@@ -126,11 +126,11 @@ static void pairwise(const struct snapshot *f, ptrdiff_t lo, ptrdiff_t m, double
 
 /* One snapshot's diagnostics in one pass over n >= 3 nodes: vn becomes the
    cumulative trapezoid of un (np.cumsum: the first term copied, then
-   sequential adds), and sums[s] the numpy sum of the s-th square listed at
-   squares(). */
-void snapshot_sums(const double *up, const double *uc, const double *un,
-                   const double *vp, const double *vc, double *vn, ptrdiff_t n,
-                   double h, double dt, double *sums)
+   sequential adds), and norms[s] the composite trapezoid of the s-th square
+   listed at squares(), from its numpy sum as grids.trapz_sq computes it. */
+void snapshot_norms(const double *up, const double *uc, const double *un,
+                    const double *vp, const double *vc, double *vn, ptrdiff_t n,
+                    double h, double dt, double *norms)
 {
     double half_h = 0.5 * h;
     double acc = half_h * (un[1] + un[0]);
@@ -143,6 +143,12 @@ void snapshot_sums(const double *up, const double *uc, const double *un,
     struct snapshot f = {up, uc, un, vp, vc, vn, n, 2.0 * h, 2.0 * dt};
     double res[NSUMS];
     pairwise(&f, 0, n, res);
+    /* the fields at the edge nodes 0 and z, where D is zero */
+    ptrdiff_t z = n - 1;
+    double e0[NSUMS] = {uc[0], 0.0, 0.0, 0.0 - uc[0],
+                        (un[0] - up[0]) / f.two_dt, (vn[0] - vp[0]) / f.two_dt};
+    double e1[NSUMS] = {uc[z], 0.0, 0.0, 0.0 - uc[z],
+                        (un[z] - up[z]) / f.two_dt, (vn[z] - vp[z]) / f.two_dt};
     for (int s = 0; s < NSUMS; s++)
-        sums[s] = 0.0 + res[s];
+        norms[s] = h * (((0.0 + res[s]) - 0.5 * e0[s] * e0[s]) - 0.5 * e1[s] * e1[s]);
 }

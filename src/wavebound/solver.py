@@ -15,14 +15,14 @@ left it non-finite. ``run`` adds the snapshot diagnostics and
 
 A snapshot carries three consecutive levels so time derivatives can be
 centered, plus the antiderivative field of each level by cumulative
-trapezoid. Each field level is stepped once and integrated once: the level
-after a snapshot is the next step proper, its antiderivative comes out of
-the snapshot's kernel pass, and consecutive snapshots pass their
-antiderivatives along. The final snapshot steps once past t_end,
-checked like every other step. The kernel never writes into the levels it is
-given, so no level is copied before a step. An optional cross-check also
-evolves the antiderivative field with the same stencil from its own initial
-data and compares.
+trapezoid. Each field level is stepped once and integrated at most once:
+the level after a snapshot is the next step proper, its antiderivative
+comes out of the snapshot's kernel pass, and the run keeps the two latest
+antiderivatives by level for the next snapshot. The final snapshot steps
+once past t_end, checked like every other step. The kernel never writes
+into the levels it is given, so no level is copied before a step. An
+optional cross-check also evolves the antiderivative field with the same
+stencil from its own initial data and compares.
 """
 
 from __future__ import annotations
@@ -172,22 +172,20 @@ def first_step(f0: np.ndarray, f1: np.ndarray, a0: float, grid: GridSpec) -> np.
 def advance(u_prev: np.ndarray, u_curr: np.ndarray, lam2: np.ndarray, level: int):
     """Advance len(lam2) steps from ``level``; return the new (previous, current).
 
-    The kernel leaves the inputs unchanged. A non-finite result is replayed
-    one step at a time, and BlowUpError names the first level that is not
-    finite.
+    The kernel leaves the inputs unchanged and does not warn on overflow. A
+    non-finite result is replayed one step at a time, and BlowUpError names
+    the first level that is not finite.
     """
-    # overflow on the way to a non-finite field is reported below, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        new_prev, new_curr = advance_steps(u_prev, u_curr, lam2)
-        if np.all(np.isfinite(new_curr)) and np.all(np.isfinite(new_prev)):
-            return new_prev, new_curr
-        bad = level + len(lam2)
-        a, b = u_prev, u_curr
-        for k in range(len(lam2)):
-            a, b = advance_steps(a, b, lam2[k : k + 1])
-            if not np.all(np.isfinite(b)):
-                bad = level + k + 1
-                break
+    new_prev, new_curr = advance_steps(u_prev, u_curr, lam2)
+    if np.all(np.isfinite(new_curr)) and np.all(np.isfinite(new_prev)):
+        return new_prev, new_curr
+    bad = level + len(lam2)
+    a, b = u_prev, u_curr
+    for k in range(len(lam2)):
+        a, b = advance_steps(a, b, lam2[k : k + 1])
+        if not np.all(np.isfinite(b)):
+            bad = level + k + 1
+            break
     raise BlowUpError(
         f"non-finite field at step {bad}; check the CFL number and the profile",
         step_index=bad,
@@ -211,8 +209,8 @@ def run(
     antiderivatives (cumulative trapezoids) are used for centered time
     differences, and the cone containment is verified to be machine-exact.
     The step to the level after a snapshot is the next step proper, and a
-    snapshot at that level reuses two of the antiderivatives. Identical
-    configs produce bit-identical series.
+    snapshot one or two levels later reuses the antiderivatives already
+    taken. Identical configs produce bit-identical series.
     """
     profile, data, grid, u0, u1, lam2 = _resolve(config)
 
@@ -222,35 +220,34 @@ def run(
         series = analysis.DiagnosticSeries(
             records=[], profile=profile, data=data, grid=grid
         )
-        rec0, recon0 = analysis.initial_record(u0, u1, profile, grid)
+        v0 = cumtrapz(u0, grid.h)
+        rec0, recon0 = analysis.initial_record(u0, u1, v0, profile, grid)
         series.append(rec0, recon0)
         series.cone_ok &= _cone_exact(u0, data, grid, level=0)
         if archive:
             _write_archive_record(archive, 0.0, u0)
 
         u_prev, u_curr = u0, first_step(u0, u1, profile.a0, grid)
-        dual = _DualVState(u0, u1, profile.a0, grid) if dual_v_check else None
+        dual = _DualVState(u0, u1, v0, profile.a0, grid) if dual_v_check else None
 
         level = 1
-        # antiderivative of the current level when the previous snapshot was
-        # the level before it, else None
-        v_next = None
+        # antiderivatives already taken that the next snapshot may reuse
+        v_by_level = {0: v0}
         for target in _snapshot_levels(grid.n_steps, config.snapshots)[1:]:
             target = int(target)
             if target > level:
                 u_prev, u_curr = advance(u_prev, u_curr, lam2[level:target], level)
                 if dual is not None:
                     dual.advance(level, target, lam2)
-                v_next = None
                 level = target
             t_here = level * grid.dt
             series.cone_ok &= _cone_exact(u_curr, data, grid, level=level)
             if archive:
                 _write_archive_record(archive, t_here, u_curr)
-            if v_next is None:
-                v_prev, v_curr = cumtrapz(u_prev, grid.h), cumtrapz(u_curr, grid.h)
-            else:
-                v_prev, v_curr = v_curr, v_next
+            v_prev, v_curr = (
+                v_by_level[k] if k in v_by_level else cumtrapz(u, grid.h)
+                for k, u in ((level - 1, u_prev), (level, u_curr))
+            )
             if dual is not None:
                 dual.compare(v_curr)
             stepped = advance(u_prev, u_curr, lam2[level : level + 1], level)
@@ -260,6 +257,7 @@ def run(
                 t_here, u_prev, u_curr, stepped[1], v_prev, v_curr, profile, grid
             )
             series.append(rec, recon)
+            v_by_level = {level: v_curr, level + 1: v_next}
             u_prev, u_curr = stepped
             level += 1
         if dual is not None:
@@ -307,9 +305,8 @@ class _DualVState:
     snapshots exercises the reconstruction structure end to end.
     """
 
-    def __init__(self, u0, u1, a0, grid):
+    def __init__(self, u0, u1, v0, a0, grid):
         self.grid = grid
-        v0 = cumtrapz(u0, grid.h)
         v1 = cumtrapz(u1, grid.h)
         self.mass0 = trapz(u0, grid.h)
         self.c0 = trapz(u1, grid.h)

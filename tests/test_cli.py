@@ -431,6 +431,13 @@ def test_series_csv_is_byte_identical_on_both_backends(tmp_path, compiled_root, 
              "--snapshots", "100000"],
             DENSE_SERIES_SHA256,
         ),
+        # 226 steps, one snapshot every two: each snapshot reuses the
+        # antiderivative of the level before it from the previous pass
+        "every-other": (
+            ["--profile", "example3", "--data", "bump", "--t-end", "5", "--n-points", "501",
+             "--snapshots", "114"],
+            "663cb6fff2f78536433e70a072534a4759bdf014bbc82fdc6a424009ebac912d",
+        ),
     }
     for job, (args, digest) in jobs.items():
         digests = {}

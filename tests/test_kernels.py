@@ -3,12 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import c_compiler
+from conftest import REPO, c_compiler
 from wavebound import kernels
 from wavebound.initial_data import bump
 from wavebound.kernels import BACKEND, advance_steps
@@ -113,32 +114,46 @@ def snapshot_field(rng, size, scale):
     h=st.floats(1e-4, 10.0),
     dt=st.floats(1e-4, 10.0),
 )
-def test_snapshot_sums_agree_bit_for_bit(compiled_backend, n, seed, scale, h, dt):
+def test_snapshot_norms_agree_bit_for_bit(compiled_backend, n, seed, scale, h, dt):
     rng = np.random.default_rng(seed)
     levels = [snapshot_field(rng, n, scale) for _ in range(5)]
     before = [bits(f).copy() for f in levels]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is drawn on purpose
-        v_want, sums_want = reference.snapshot_sums(*levels, h, dt)
-    v_got, sums_got = compiled_backend.snapshot_sums(*levels, h, dt)
+    v_want, norms_want = reference.snapshot_norms(*levels, h, dt)
+    v_got, norms_got = compiled_backend.snapshot_norms(*levels, h, dt)
     assert np.array_equal(bits(v_want), bits(v_got))
-    assert np.array_equal(bits(sums_want), bits(sums_got))
+    assert np.array_equal(bits(norms_want), bits(norms_got))
     for f, was in zip(levels, before):
         assert np.array_equal(bits(f), was)
 
 
+def test_reference_backend_is_silent_on_overflow():
+    # as the compiled backend is: the caller reports the non-finite result
+    u, _ = bump_field(n=201)
+    v = np.cumsum(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 2 u overflows in the step, the squares of the fields in the snapshot pass
+        big = np.full(51, 1e308)
+        _, stepped = reference.advance_steps(big, big, np.full(3, 0.8))
+        levels = [0.5e160 * u, 1e160 * u, 1.5e160 * u, 0.5e160 * v, 1e160 * v]
+        _, norms = reference.snapshot_norms(*levels, 0.04, 0.03)
+    assert not np.all(np.isfinite(stepped))
+    assert norms[:4] == [np.inf] * 4 and not any(map(np.isfinite, norms))
+
+
 @pytest.fixture(params=["python", "compiled"])
-def sums_backend(request):
+def norms_backend(request):
     if request.param == "python":
-        return reference.snapshot_sums
-    return request.getfixturevalue("compiled_backend").snapshot_sums
+        return reference.snapshot_norms
+    return request.getfixturevalue("compiled_backend").snapshot_norms
 
 
-def test_snapshot_sums_reject_levels_of_different_lengths(sums_backend):
+def test_snapshot_norms_reject_levels_of_different_lengths(norms_backend):
     levels = [np.zeros(50)] * 4 + [np.zeros(49)]
     with pytest.raises(ValueError, match="u_prev has 50 nodes but v_curr has 49"):
-        sums_backend(*levels, 0.1, 0.1)
+        norms_backend(*levels, 0.1, 0.1)
     with pytest.raises(ValueError, match="at least 3 nodes"):
-        sums_backend(*[np.zeros(2)] * 5, 0.1, 0.1)
+        norms_backend(*[np.zeros(2)] * 5, 0.1, 0.1)
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -196,6 +211,33 @@ def test_backend_name_is_reported():
     assert BACKEND in ("compiled", "python")
 
 
+def test_kernel_benchmark_runs_and_keeps_the_names_perfbench_calls(compiled_root):
+    # perfbench/run.py::kernel_reference loads the script by path and calls these
+    script = REPO / "benchmarks" / "bench_kernels.py"
+    env = dict(os.environ, PYTHONPATH=str(compiled_root))
+    run = subprocess.run(
+        [sys.executable, str(script), "2001", "50"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "bit-identical results: True" in run.stdout
+    probe = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_kernels", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+names = (bench.make_problem, bench.time_backend, bench.reference.advance_steps,
+         bench._stencil.advance_steps)
+print(all(map(callable, names)))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", probe, str(script)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True"]
+
+
 @pytest.mark.parametrize("library", ["missing", "unloadable", "stale"])
 def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, library):
     root = numpy_root
@@ -207,9 +249,9 @@ def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, 
         if library == "unloadable":
             target.write_bytes(b"")
         else:
-            # built from an older stencil.c: it exports advance_steps only
+            # built from an older stencil.c, whose snapshot pass returned raw sums
             source = tmp_path / "stale.c"
-            source.write_text("void advance_steps(void) {}\n")
+            source.write_text("void advance_steps(void) {}\nvoid snapshot_sums(void) {}\n")
             subprocess.run(
                 [c_compiler(), "-shared", "-fPIC", "-o", str(target), str(source)],
                 check=True, capture_output=True, timeout=120,
@@ -218,7 +260,7 @@ def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, 
     probe = [
         sys.executable, "-c",
         "import wavebound.kernels as k; "
-        "print(k.BACKEND, k.advance_steps.__module__, k.snapshot_sums.__module__)",
+        "print(k.BACKEND, k.advance_steps.__module__, k.snapshot_norms.__module__)",
     ]
     env = dict(os.environ, PYTHONPATH=str(root))
     result = subprocess.run(probe, env=env, capture_output=True, text=True, timeout=120)

@@ -13,7 +13,7 @@ from wavebound.coefficients import get_profile
 from wavebound.errors import BlowUpError, CapacityError, ConfigError
 from wavebound.grids import GridSpec, cumtrapz, second_diff
 from wavebound.initial_data import get_data
-from wavebound.kernels import advance_steps, snapshot_sums
+from wavebound.kernels import advance_steps, snapshot_norms
 from wavebound.oracles import convergence_order, dalembert
 
 
@@ -218,7 +218,9 @@ def test_dual_evolution_matches_cumulative_integral(data_name):
     assert series.dual_v_max_rel_err < 1e-9
 
 
-@pytest.mark.parametrize("snapshots", [2, 7, 60, 100000])
+# example3 / bump, t_end 5, n 501 takes 226 steps: 114 snapshots are two
+# steps apart, 100000 give one per step
+@pytest.mark.parametrize("snapshots", [2, 7, 60, 114, 100000])
 def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
     steps, integrals = [], []
 
@@ -230,24 +232,25 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         integrals.append(1)
         return cumtrapz(f, h)
 
-    def counting_sums(*args):
+    def counting_norms(*args):
         # the snapshot's kernel pass integrates its next level
         integrals.append(1)
-        return snapshot_sums(*args)
+        return snapshot_norms(*args)
 
     monkeypatch.setattr(solver, "advance_steps", counting_steps)
     monkeypatch.setattr(solver, "cumtrapz", counting_cumtrapz)
-    monkeypatch.setattr(analysis, "cumtrapz", counting_cumtrapz)
-    monkeypatch.setattr(analysis, "snapshot_sums", counting_sums)
+    monkeypatch.setattr(analysis, "snapshot_norms", counting_norms)
     cfg = ExperimentConfig(profile="example3", data="bump", t_end=5.0, n_points=501, snapshots=snapshots)
     series = solver.run(cfg)
+    n_steps = series.grid.n_steps
     # levels 2..n_steps plus the one past t_end for the final snapshot
-    assert sum(steps) == series.grid.n_steps
-    if snapshots > series.grid.n_steps:
-        assert len(series.records) == series.grid.n_steps + 1
-        # levels 0..n_steps + 1 once each, plus level 0 and the initial
-        # velocity for the record at t = 0
-        assert len(integrals) == series.grid.n_steps + 4
+    assert sum(steps) == n_steps
+    if snapshots >= n_steps // 2 + 1:
+        assert n_steps == 226
+        assert len(series.records) == min(snapshots, n_steps + 1)
+        # levels 0..n_steps + 1 once each, plus the initial velocity for the
+        # record at t = 0
+        assert len(integrals) == n_steps + 3
 
 
 def test_step_past_t_end_is_checked(monkeypatch):
