@@ -259,13 +259,17 @@ def cmd_converge(config: ExperimentConfig, levels: int = 3) -> int:
         shift=config.data_shift,
         width=config.data_width,
     )
+    # every level's config is checked before any level runs
+    refined = [
+        dataclasses.replace(config, n_points=(config.n_points - 1) * 2**k + 1)
+        for k in range(levels)
+    ]
     rows = []
-    for k in range(levels):
-        n_k = (config.n_points - 1) * (2**k) + 1
-        grid, u_num = solver.evolve_final(dataclasses.replace(config, n_points=n_k))
+    for level in refined:
+        grid, u_num = solver.evolve_final(level)
         u_exact = dalembert(data, config.t_end, grid.x, speed=speed)
         err = math.sqrt(analysis.l2_norm_sq(u_num - u_exact, grid))
-        rows.append({"n_points": n_k, "h": grid.h, "l2_error": err})
+        rows.append({"n_points": level.n_points, "h": grid.h, "l2_error": err})
     order = convergence_order([(row["h"], row["l2_error"]) for row in rows])
     payload = {
         "config": dataclasses.asdict(config),

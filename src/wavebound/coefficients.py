@@ -51,16 +51,18 @@ class CoefficientProfile:
     a_inf_hint: Optional[float] = None
 
     def __post_init__(self):
-        probe = np.concatenate(([0.0], np.geomspace(1e-6, 1000.0, 255)))
-        vals = np.asarray(self.a(probe), dtype=float)
+        self.sample_a(np.concatenate(([0.0], np.geomspace(1e-6, 1000.0, 255))))
+
+    def sample_a(self, t: np.ndarray) -> np.ndarray:
+        """a at the times ``t``; Profile- or PositivityError names a bad t."""
+        vals = np.asarray(self.a(t), dtype=float)
         if not np.all(np.isfinite(vals)):
-            bad = probe[~np.isfinite(vals)][0]
+            bad = t[~np.isfinite(vals)][0]
             raise ProfileError(f"profile {self.name!r}: a(t) not finite at t={bad}")
         if np.any(vals <= 0.0):
-            bad = probe[vals <= 0.0][0]
-            raise PositivityError(
-                f"profile {self.name!r}: a(t) <= 0 at t={bad} (a={vals[probe == bad][0]})"
-            )
+            k = int(np.argmax(vals <= 0.0))
+            raise PositivityError(f"profile {self.name!r}: a(t) <= 0 at t={t[k]} (a={vals[k]})")
+        return vals
 
     @property
     def a0(self) -> float:
@@ -104,14 +106,11 @@ def classify(profile: CoefficientProfile, horizon: float) -> AssumptionFlags:
     if horizon <= 0.0:
         raise ValueError(f"classification horizon must be positive, got {horizon}")
     t = np.linspace(0.0, horizon, CLASSIFY_SAMPLES)
-    a_vals = np.asarray(profile.a(t), dtype=float)
+    a_vals = profile.sample_a(t)
     ap_vals = np.asarray(profile.a_prime(t), dtype=float)
-    if not (np.all(np.isfinite(a_vals)) and np.all(np.isfinite(ap_vals))):
-        bad = t[~(np.isfinite(a_vals) & np.isfinite(ap_vals))][0]
-        raise ProfileError(f"profile {profile.name!r}: non-finite sample at t={bad}")
-    if np.any(a_vals <= 0.0):
-        bad = t[a_vals <= 0.0][0]
-        raise PositivityError(f"profile {profile.name!r}: a(t) <= 0 at t={bad}")
+    if not np.all(np.isfinite(ap_vals)):
+        bad = t[~np.isfinite(ap_vals)][0]
+        raise ProfileError(f"profile {profile.name!r}: a'(t) not finite at t={bad}")
 
     a_m = float(a_vals.max())
     if profile.a_max_hint is not None:

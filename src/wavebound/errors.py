@@ -28,10 +28,6 @@ class AccuracyError(WaveboundError):
         self.achieved = achieved
 
 
-class CapacityError(WaveboundError):
-    """Requested resolution exceeds the configured memory budget."""
-
-
 class BlowUpError(WaveboundError):
     """Non-finite field value during time stepping.
 
@@ -46,6 +42,10 @@ class BlowUpError(WaveboundError):
 
 class ConfigError(WaveboundError):
     """Experiment configuration failed validation."""
+
+
+class CapacityError(ConfigError):
+    """Requested resolution exceeds the configured memory budget."""
 
 
 class SeriesError(WaveboundError):

@@ -5,7 +5,8 @@ The built-in families are all based on the standard smooth bump
     psi(y) = exp(-1 / (1 - y^2))   for |y| < 1,   0 otherwise,
 
 translated by ``shift`` and dilated by ``width``. Samplers return exact zeros
-outside the stated support radius.
+outside the stated support radius. ``get_data`` checks those parameters with
+``config.check_data``, the rule an ``ExperimentConfig`` applies.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from wavebound.config import check_data
 from wavebound.errors import ConfigError, CoverageError
 from wavebound.grids import GridSpec, cumtrapz, trapz, trapz_sq
 
@@ -174,8 +176,5 @@ def get_data(name: str, scale=1.0, shift=0.0, width=1.0) -> InitialData:
     if key not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ConfigError(f"unknown data family {name!r}; known: {known}")
-    if not (width > 0.0 and math.isfinite(width)):
-        raise ConfigError(f"data width must be positive, got {width}")
-    if not (math.isfinite(scale) and math.isfinite(shift)):
-        raise ConfigError("data scale and shift must be finite")
+    check_data(scale, shift, width)
     return _FAMILIES[key](scale=scale, shift=shift, width=width)

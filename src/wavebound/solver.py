@@ -6,8 +6,9 @@ propagation cone (one cell per step) never reaches the truncated boundary,
 which makes the homogeneous edge values exactly inert for compactly
 supported data: the field stays machine-zero outside the cone.
 
-Every experiment goes through one pipeline. ``_resolve`` validates the
-config and turns it into the profile, the data, the grid, the sampled
+Every experiment goes through one pipeline. A config is checked when it
+is built, by the rules in ``config.py`` that ``init_grid`` also applies.
+``_resolve`` turns it into the profile, the data, the grid, the sampled
 initial levels and the squared Courant factors; ``first_step`` makes the
 Taylor start; ``advance`` steps the field and names the first step that
 left it non-finite. ``run`` adds the snapshot diagnostics and
@@ -35,7 +36,7 @@ import numpy as np
 
 from wavebound import analysis
 from wavebound.coefficients import CoefficientProfile, get_profile
-from wavebound.config import ExperimentConfig, MAX_POINTS, CFL_CEIL
+from wavebound.config import ExperimentConfig, check_grid
 from wavebound.errors import BlowUpError, CapacityError, ConfigError
 from wavebound.grids import GridSpec, cumtrapz, second_diff, trapz, trapz_sq
 from wavebound.initial_data import InitialData, get_data
@@ -52,11 +53,6 @@ _SUP_SAMPLES = 4096
 MIN_DATA_CELLS = 4
 
 
-def _window_sup_speed(profile: CoefficientProfile, t_end: float) -> float:
-    t = np.linspace(0.0, max(t_end, 1e-9), _SUP_SAMPLES)
-    return float(np.max(np.asarray(profile.a(t), dtype=float)))
-
-
 def init_grid(
     data: InitialData,
     profile: CoefficientProfile,
@@ -69,19 +65,11 @@ def init_grid(
     The discrete stencil propagates one cell per step, i.e. at speed h/dt,
     which exceeds the physical speed by the factor 1/cfl. Containment uses
     that rate, so the requirement of support plus physical cone plus margin
-    is satisfied with room to spare.
+    is satisfied with room to spare. The settings must pass
+    ``config.check_grid`` and the speed must be finite and positive.
     """
-    if not (0.0 < cfl <= CFL_CEIL):
-        raise ConfigError(f"cfl must be in (0, {CFL_CEIL}], got {cfl}")
-    if t_end < 0.0:
-        raise ConfigError(f"t_end must be >= 0, got {t_end}")
-    if n_points < 65 or n_points % 2 == 0:
-        raise ConfigError(f"n_points must be odd and >= 65, got {n_points}")
-    if n_points > MAX_POINTS:
-        raise CapacityError(
-            f"n_points={n_points} exceeds the memory budget ({MAX_POINTS})"
-        )
-    a_sup = _window_sup_speed(profile, t_end)
+    check_grid(t_end, cfl, n_points)
+    a_sup = float(np.max(profile.sample_a(np.linspace(0.0, max(t_end, 1e-9), _SUP_SAMPLES))))
     base = data.support_radius + (a_sup / cfl) * t_end
     h_est = 2.0 * base / (n_points - 1)
     half_width = base + 6.0 * h_est
@@ -124,12 +112,11 @@ class _Experiment(NamedTuple):
 
 
 def _resolve(config: ExperimentConfig) -> _Experiment:
-    """Validate a config and build its profile, data, grid and Courant factors.
+    """Build a config's profile, data, grid and Courant factors.
 
     The factors cover levels 0..n_steps: the final snapshot takes one extra
     step past t_end for its centered time derivative.
     """
-    config.validate()
     profile = get_profile(config.profile)
     data = get_data(
         config.data,
@@ -144,13 +131,7 @@ def _resolve(config: ExperimentConfig) -> _Experiment:
             f"grid cells, fewer than {MIN_DATA_CELLS}: raise n_points or the width"
         )
     t_levels = np.arange(grid.n_steps + 1) * grid.dt
-    a_levels = np.asarray(profile.a(t_levels), dtype=float)
-    if not np.all(np.isfinite(a_levels)):
-        bad = int(np.argmax(~np.isfinite(a_levels)))
-        raise BlowUpError(
-            f"profile produced a non-finite speed at t={t_levels[bad]:.6g}",
-            step_index=bad,
-        )
+    a_levels = profile.sample_a(t_levels)
     return _Experiment(
         profile=profile,
         data=data,

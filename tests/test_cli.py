@@ -2,22 +2,27 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavebound import solver
 from wavebound.cli import _collect_passes, _experiment, build_parser, load_config, main
 from wavebound.coefficients import get_profile
 from wavebound.config import (
+    CFL_CEIL,
+    MAX_POINTS,
     ExperimentConfig,
     config_from_mapping,
     parse_config_file,
 )
-from wavebound.errors import ConfigError
+from wavebound.errors import CapacityError, ConfigError
 from wavebound.initial_data import get_data
 from wavebound.kernels import BACKEND
 from wavebound.solver import MIN_DATA_CELLS, init_grid
@@ -52,11 +57,89 @@ def test_unknown_key_rejected():
         ("snapshots", 0),
         ("epsilon_bound", -0.1),
         ("data_width", 0.0),
+        # a NaN fails every range check, whatever the field's type
+        ("t_end", math.nan),
+        ("n_points", math.nan),
+        ("cfl", math.nan),
+        ("snapshots", math.nan),
+        ("epsilon_bound", math.nan),
+        ("data_width", math.nan),
+        ("data_scale", math.inf),
+        ("data_shift", math.nan),
     ],
 )
 def test_out_of_range_fields_rejected(field, value):
     with pytest.raises(ConfigError, match=field):
         config_from_mapping({field: value})
+
+
+def test_over_budget_is_a_capacity_error_and_a_config_error():
+    with pytest.raises(CapacityError, match="exceeds the memory budget") as info:
+        config_from_mapping({"n_points": MAX_POINTS + 2})
+    assert isinstance(info.value, ConfigError)
+
+
+def test_config_is_frozen_and_checked_on_replace():
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.t_end = -1.0
+    with pytest.raises(ConfigError, match="t_end"):
+        dataclasses.replace(cfg, t_end=math.nan)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324]
+_T_END = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_SPECIAL))
+_CFL = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from(_SPECIAL + [CFL_CEIL, math.nextafter(CFL_CEIL, 1.0)]),
+)
+_N_POINTS = st.one_of(
+    st.integers(-3, 200),
+    st.sampled_from(
+        [-65, 0, 63, 64, 65, 66, MAX_POINTS - 1, MAX_POINTS, MAX_POINTS + 1, MAX_POINTS + 2, 10**12]
+    ),
+)
+_DATA_PARAM = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_SPECIAL))
+
+
+def _outcome(build):
+    """None when ``build()`` succeeds, else its (exception class, message).
+
+    A RuntimeWarning is raised, so it shows up as an outcome of its own.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            build()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_end=_T_END, cfl=_CFL, n_points=_N_POINTS)
+def test_grid_rules_agree_across_entry_points(t_end, cfl, n_points):
+    data, profile = get_data("bump"), get_profile("const:1")
+    by_config = _outcome(lambda: ExperimentConfig(t_end=t_end, cfl=cfl, n_points=n_points))
+    by_grid = _outcome(lambda: init_grid(data, profile, t_end, cfl=cfl, n_points=n_points))
+    assert by_config == by_grid
+    assert by_config is None or issubclass(by_config[0], ConfigError)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["bump", "bump-velocity", "odd-velocity", "derivative-velocity"]),
+    scale=_DATA_PARAM,
+    shift=_DATA_PARAM,
+    width=_DATA_PARAM,
+)
+def test_data_rules_agree_across_entry_points(family, scale, shift, width):
+    by_config = _outcome(
+        lambda: ExperimentConfig(data=family, data_scale=scale, data_shift=shift, data_width=width)
+    )
+    by_data = _outcome(lambda: get_data(family, scale=scale, shift=shift, width=width))
+    assert by_config == by_data
+    assert by_config is None or issubclass(by_config[0], ConfigError)
 
 
 def test_config_file_parsing(tmp_path):
@@ -343,6 +426,23 @@ def test_converge_speed_rescaling(tmp_path):
 def test_converge_rejects_too_few_levels(tmp_path, capsys):
     code = run_cli("converge", "--levels", "1", "--out", str(tmp_path / "x"))
     assert code == 2
+
+
+def test_converge_checks_every_level_before_running_any(tmp_path, capsys, monkeypatch):
+    ran = []
+
+    def evolve_final(config):
+        ran.append(config.n_points)
+        raise AssertionError(f"level n_points={config.n_points} ran")
+
+    monkeypatch.setattr(solver, "evolve_final", evolve_final)
+    # the third level has 8000001 nodes, over the memory budget
+    code = run_cli(
+        "converge", "--profile", "const:1", "--t-end", "10", "--n-points", "2000001",
+        "--levels", "3", "--out", str(tmp_path / "x"),
+    )
+    assert code == 2 and ran == []
+    assert "n_points=8000001 exceeds the memory budget" in capsys.readouterr().err
 
 
 def test_converge_requires_constant_profile(tmp_path, capsys):

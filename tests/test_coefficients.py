@@ -66,6 +66,36 @@ def test_nonpositive_profile_fails_construction():
         formula_profile("sinking", lambda t: 1.0 - t, lambda t: -np.ones_like(t))
 
 
+# classify samples [0, 4000] at 4096 points; the construction probe stops at
+# t = 1000, so these profiles pass it and fail at the first sample past 1500
+_HORIZON = 4000.0
+_SAMPLES = np.linspace(0.0, _HORIZON, 4096)
+_FIRST_BAD = _SAMPLES[_SAMPLES > 1500.0][0]
+
+
+def _late(bad, good):
+    return lambda t: np.where(t > 1500.0, bad, good)
+
+
+@pytest.mark.parametrize(
+    "a,a_prime,error,what",
+    [
+        (_late(np.nan, 1.0), _late(0.0, 0.0), ProfileError, "a(t) not finite"),
+        (_late(np.inf, 1.0), _late(0.0, 0.0), ProfileError, "a(t) not finite"),
+        (_late(-1.0, 1.0), _late(0.0, 0.0), PositivityError, "a(t) <= 0"),
+        (_late(0.0, 1.0), _late(0.0, 0.0), PositivityError, "a(t) <= 0"),
+        (_late(1.0, 1.0), _late(np.nan, 0.0), ProfileError, "a'(t) not finite"),
+        (_late(1.0, 1.0), _late(-np.inf, 0.0), ProfileError, "a'(t) not finite"),
+    ],
+)
+def test_classify_names_the_first_bad_sample(a, a_prime, error, what):
+    prof = formula_profile("late", a, a_prime)
+    with pytest.raises(ProfileError) as info:
+        classify(prof, _HORIZON)
+    assert type(info.value) is error
+    assert f"{what} at t={_FIRST_BAD}" in str(info.value)
+
+
 def test_unknown_profile_name():
     with pytest.raises(ProfileError):
         get_profile("example9")

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bump_constants
+from conftest import bump_constants, formula_profile
 from wavebound import analysis, solver
 from wavebound.config import ExperimentConfig
 from wavebound.coefficients import get_profile
-from wavebound.errors import BlowUpError, CapacityError, ConfigError
+from wavebound.errors import BlowUpError, CapacityError, ConfigError, ProfileError
 from wavebound.grids import GridSpec, cumtrapz, second_diff
 from wavebound.initial_data import get_data
 from wavebound.kernels import advance_steps, snapshot_norms
@@ -58,6 +58,15 @@ def test_unstable_courant_numbers_rejected():
 def test_memory_budget_enforced():
     with pytest.raises(CapacityError):
         solver.init_grid(get_data("bump"), get_profile("const:1"), 5.0, n_points=4_194_305)
+
+
+def test_grid_rejects_a_speed_that_is_not_finite_in_the_window():
+    # past the construction probe (t <= 1000) but inside [0, t_end]: a typed
+    # error naming the time, not a grid sized from a NaN supremum
+    prof = formula_profile("late-nan", lambda t: np.where(t > 1500.0, np.nan, 1.0), np.zeros_like)
+    t = np.linspace(0.0, 2000.0, 4096)
+    with pytest.raises(ProfileError, match=f"a\\(t\\) not finite at t={t[t > 1500.0][0]}"):
+        solver.init_grid(get_data("bump"), prof, 2000.0, n_points=65)
 
 
 # ---------------------------------------------------------------------------
