@@ -61,7 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run and write CSV + summary JSON")
     add_common(p_sim)
-    p_sim.add_argument("--archive", help="also write a plain-text snapshot archive")
+    p_sim.add_argument(
+        "--archive",
+        help="also write a binary snapshot archive, one .npy array [t, u...] per snapshot",
+    )
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     add_common(p_ver)
@@ -140,6 +143,10 @@ def _growth_section(config, series):
 def _summary_dict(config, ex: Experiment, growth=False):
     """The blocks every summary shares; ``growth`` also in the bounded regime."""
     series = ex.series
+    moment = dataclasses.asdict(ex.report)
+    if not ex.report.v1_in_L2:
+        # infinite, as v1_in_L2 says; strict JSON has no token for it
+        moment.update(v1_l2_sq=None, I0_sq=None)
     summary = {
         "config": dataclasses.asdict(config),
         "backend": BACKEND,
@@ -149,7 +156,7 @@ def _summary_dict(config, ex: Experiment, growth=False):
             "horizon": ex.horizon,
             "tv_tail_estimate": tv_tail_estimate(series.profile, ex.horizon),
         },
-        "moment": dataclasses.asdict(ex.report),
+        "moment": moment,
         "measured_sup": series.measured_sup,
         "hypothesis_violation": ex.hypothesis_violation,
         "bounds": [rep.to_json_dict() for rep in ex.bounds],
@@ -174,8 +181,8 @@ def _collect_passes(obj):
 
 
 def _emit(payload: dict, path: str) -> int:
-    """Write JSON, echo to stdout, and derive the exit status."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write strict JSON (no NaN or Infinity), echo it, derive the exit status."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(text)

@@ -19,10 +19,13 @@ from wavebound.errors import CapacityError, ConfigError
 
 MAX_POINTS = 4_000_001
 CFL_CEIL = 0.95
+# largest cone reach per unit speed, max(t_end, 1) / cfl: the grid's
+# arithmetic then stays finite at unit speed with room to spare
+MAX_REACH = 1e300
 
 
 def check_grid(t_end: float, cfl: float, n_points: int) -> None:
-    """The grid rules: a finite horizon, a stable Courant number, a sized grid."""
+    """The grid rules: a finite horizon, a sized grid, a stable cfl that sizes a finite grid."""
     if not (t_end >= 0.0 and math.isfinite(t_end)):
         raise ConfigError(f"t_end must be finite and >= 0, got {t_end}")
     if not (n_points >= 65 and n_points % 2 == 1):
@@ -33,6 +36,10 @@ def check_grid(t_end: float, cfl: float, n_points: int) -> None:
         )
     if not (0.0 < cfl <= CFL_CEIL):
         raise ConfigError(f"cfl must be in (0, {CFL_CEIL}], got {cfl}")
+    if not max(t_end, 1.0) / cfl <= MAX_REACH:
+        raise ConfigError(
+            f"cfl {cfl} is too small: max(t_end, 1) / cfl exceeds {MAX_REACH:g}"
+        )
 
 
 def check_data(scale: float, shift: float, width: float) -> None:

@@ -66,7 +66,8 @@ def init_grid(
     which exceeds the physical speed by the factor 1/cfl. Containment uses
     that rate, so the requirement of support plus physical cone plus margin
     is satisfied with room to spare. The settings must pass
-    ``config.check_grid`` and the speed must be finite and positive.
+    ``config.check_grid``, the speed must be finite and positive, and the
+    grid they size must be finite (ConfigError names cfl otherwise).
     """
     check_grid(t_end, cfl, n_points)
     a_sup = float(np.max(profile.sample_a(np.linspace(0.0, max(t_end, 1e-9), _SUP_SAMPLES))))
@@ -81,6 +82,11 @@ def init_grid(
     else:
         n_steps = 0
         dt = cfl * h / a_sup
+    if not all(map(math.isfinite, (half_width, h, dt))):
+        raise ConfigError(
+            f"cfl {cfl} sizes a non-finite grid at speed {a_sup:g} "
+            f"(half_width {half_width}, h {h}, dt {dt}): raise cfl"
+        )
     grid = GridSpec(
         half_width=half_width,
         n_points=n_points,
@@ -92,7 +98,7 @@ def init_grid(
     # exact containment: one extra step is taken past t_end for centered
     # time differences at the final snapshot
     needed = data.support_radius + (n_steps + 1 + _CONE_PAD) * h
-    if half_width < needed:
+    if not half_width >= needed:
         raise CapacityError(
             f"internal sizing failure: half_width {half_width} < {needed}"
         )
@@ -196,7 +202,7 @@ def run(
     profile, data, grid, u0, u1, lam2 = _resolve(config)
 
     with (
-        open(archive_path, "w", encoding="utf-8") if archive_path else nullcontext()
+        open(archive_path, "wb") if archive_path else nullcontext()
     ) as archive:
         series = analysis.DiagnosticSeries(
             records=[], profile=profile, data=data, grid=grid
@@ -270,10 +276,9 @@ def _cone_exact(u: np.ndarray, data: InitialData, grid: GridSpec, level: int) ->
 
 
 def _write_archive_record(fh, t: float, u: np.ndarray):
-    # node values left to right, full round-trip precision
-    fh.write(f"t={t!r}\n")
-    fh.write(" ".join(map(repr, u.tolist())))
-    fh.write("\n")
+    # one complete .npy array [t, node values left to right] per snapshot;
+    # given the open handle, np.save adds no ".npy" suffix to the path
+    np.save(fh, np.concatenate(([t], u)))
 
 
 class _DualVState:

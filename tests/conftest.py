@@ -62,6 +62,15 @@ def bump_constants() -> dict:
     }
 
 
+def read_archive(path):
+    """The records of a snapshot archive, each the float64 array [t, u...]."""
+    records = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            records.append(np.load(fh))
+    return records
+
+
 def copy_package(root):
     """Copy the imported ``wavebound`` package into ``root``, without its library."""
     package = Path(kernels.__file__).resolve().parent.parent

@@ -9,9 +9,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_archive
 from wavebound import solver
 from wavebound.cli import _collect_passes, _experiment, build_parser, load_config, main
 from wavebound.coefficients import get_profile
@@ -61,6 +63,8 @@ def test_unknown_key_rejected():
         ("t_end", math.nan),
         ("n_points", math.nan),
         ("cfl", math.nan),
+        # max(t_end, 1) / cfl overflows
+        ("cfl", 1e-310),
         ("snapshots", math.nan),
         ("epsilon_bound", math.nan),
         ("data_width", math.nan),
@@ -91,7 +95,7 @@ _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324]
 _T_END = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_SPECIAL))
 _CFL = st.one_of(
     st.floats(-2.0, 2.0),
-    st.sampled_from(_SPECIAL + [CFL_CEIL, math.nextafter(CFL_CEIL, 1.0)]),
+    st.sampled_from(_SPECIAL + [CFL_CEIL, math.nextafter(CFL_CEIL, 1.0), 1e-310]),
 )
 _N_POINTS = st.one_of(
     st.integers(-3, 200),
@@ -260,6 +264,7 @@ def test_simulate_zero_horizon_single_record(tmp_path):
 
 def test_simulate_archive(tmp_path):
     out = tmp_path / "arch"
+    # written at exactly the path given: np.save adds no ".npy" to a handle
     archive = tmp_path / "snapshots.txt"
     code = run_cli(
         "simulate", "--profile", "const:1", "--data", "bump",
@@ -267,9 +272,15 @@ def test_simulate_archive(tmp_path):
         "--out", str(out), "--archive", str(archive),
     )
     assert code == 0
-    lines = archive.read_text().splitlines()
-    assert lines[0] == "t=0.0"
-    assert len(lines[1].split()) == 501
+    records = read_archive(archive)
+    rows = (out / "series.csv").read_text().splitlines()[1:]
+    assert len(records) == len(rows) == 4
+    for rec, row in zip(records, rows):
+        assert rec.dtype == np.float64 and rec.shape == (502,)
+        assert rec[0] == float(row.split(",")[0])
+    grid = init_grid(get_data("bump"), get_profile("const:1"), 1.0, n_points=501)
+    u0 = np.asarray(get_data("bump").u0(grid.x), dtype=float)
+    assert np.array_equal(records[0][1:].view(np.int64), u0.view(np.int64))
 
 
 def test_invalid_cfl_fails_before_running(tmp_path, capsys):
@@ -278,6 +289,15 @@ def test_invalid_cfl_fails_before_running(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert "cfl" in capsys.readouterr().err
+
+
+def test_subnormal_cfl_fails_before_running(tmp_path, capsys):
+    # 1 / cfl overflows: the grid would be NaN at t_end 0 and infinite after
+    out = tmp_path / "never"
+    argv = ("simulate", "--t-end", "0", "--cfl", "1e-310", "--n-points", "65", "--out", str(out))
+    assert run_cli(*argv) == 2
+    assert not out.exists()
+    assert "cfl 1e-310 is too small" in capsys.readouterr().err
 
 
 def test_under_resolved_data_is_a_config_error(tmp_path, capsys):
@@ -475,6 +495,25 @@ def test_growth_command_compares_against_oracle(tmp_path):
     assert oracle["slope_rel_diff"] <= 0.10
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+@pytest.mark.parametrize("command,name", [("simulate", "summary.json"), ("growth", "growth.json")])
+def test_growth_regime_json_is_strict(tmp_path, capsys, command, name):
+    out = tmp_path / command
+    code = run_cli(
+        command, "--profile", "const:1", "--data", "bump-velocity", "--t-end", "5",
+        "--n-points", "501", "--out", str(out),
+    )
+    assert code == 0
+    # parse_constant sees NaN, Infinity and -Infinity, and nothing else
+    payload = json.loads((out / name).read_text(), parse_constant=_reject_constant)
+    moment = payload["moment"]
+    assert moment["v1_in_L2"] is False
+    assert moment["I0_sq"] is None and moment["v1_l2_sq"] is None
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------
@@ -519,39 +558,52 @@ DENSE_SERIES_SHA256 = "27dede99000af03df5b2dc71f6f1a5790085280a67f0aa363b04ea67e
 
 
 def test_series_csv_is_byte_identical_on_both_backends(tmp_path, compiled_root, numpy_root):
-    # the backend follows from whether the package holds the built library
+    # the backend follows from whether the package holds the built library;
+    # each job is (arguments, series.csv sha256, archive sha256 or None)
     jobs = {
         "reference": (
             ["--profile", "example1", "--data", "derivative-velocity", "--t-end", "50",
              "--n-points", "4001"],
             REFERENCE_SERIES_SHA256,
+            None,
         ),
         "dense": (
             ["--profile", "example3", "--data", "bump", "--t-end", "20", "--n-points", "1001",
              "--snapshots", "100000"],
             DENSE_SERIES_SHA256,
+            None,
         ),
         # 226 steps, one snapshot every two: each snapshot reuses the
-        # antiderivative of the level before it from the previous pass
+        # antiderivative of the level before it from the previous pass. The
+        # archive's 114 records equal, bit for bit, those of the earlier
+        # text archive
         "every-other": (
             ["--profile", "example3", "--data", "bump", "--t-end", "5", "--n-points", "501",
              "--snapshots", "114"],
             "663cb6fff2f78536433e70a072534a4759bdf014bbc82fdc6a424009ebac912d",
+            "9f7b6b5f070e500658cf0b686d21b7533859df3249d460e81fe0a7b62677861e",
         ),
     }
-    for job, (args, digest) in jobs.items():
-        digests = {}
+    for job, (args, digest, archive_digest) in jobs.items():
+        digests, archives = {}, {}
         for backend, root in (("python", numpy_root), ("compiled", compiled_root)):
             out = tmp_path / job / backend
+            extra = ["--archive", str(out / "archive.npy")] if archive_digest else []
             env = dict(os.environ, PYTHONPATH=str(root))
             subprocess.run(
-                [sys.executable, "-m", "wavebound.cli", "simulate", *args, "--out", str(out)],
+                [sys.executable, "-m", "wavebound.cli", "simulate", *args, *extra,
+                 "--out", str(out)],
                 env=env, check=True, capture_output=True, timeout=300,
             )
             summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
             assert summary["backend"] == backend
             digests[backend] = hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
+            if archive_digest:
+                archives[backend] = (out / "archive.npy").read_bytes()
         assert digests == {"python": digest, "compiled": digest}, job
+        if archive_digest:
+            assert archives["python"] == archives["compiled"], job
+            assert hashlib.sha256(archives["python"]).hexdigest() == archive_digest, job
 
 
 # series.csv of example3 / bump on 1001 nodes (485 steps), recorded with the
@@ -617,7 +669,8 @@ def test_dense_dual_v_errors_are_unchanged(tmp_path, capsys):
             "growth.json",
             ("growth", "--profile", "example2b", "--data", "bump-velocity", "--t-end", "40",
              "--n-points", "1001"),
-            "feda29e74ab967fbc00723648c1d670f9af58f58acd1f8def765dedf643c8f3b",
+            # growth regime: the infinite I0_sq and v1_l2_sq are written as null
+            "fd59be7f6b19f715986b486f457d4df14ec8807da985abfaa9488cc202bbb20b",
         ),
     ],
 )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bump_constants, formula_profile
+from conftest import bump_constants, formula_profile, read_archive
 from wavebound import analysis, solver
 from wavebound.config import ExperimentConfig
 from wavebound.coefficients import get_profile
@@ -53,6 +53,16 @@ def test_unstable_courant_numbers_rejected():
         solver.init_grid(data, prof, 5.0, cfl=0.96)
     with pytest.raises(ConfigError):
         solver.init_grid(data, prof, 5.0, cfl=0.0)
+
+
+def test_grid_that_overflows_is_a_config_error():
+    # the settings pass check_grid, but a fast speed overflows the cone
+    data, fast = get_data("bump"), get_profile("const:1e150")
+    with pytest.raises(ConfigError, match="cfl 1e-297 sizes a non-finite grid"):
+        solver.init_grid(data, fast, 1000.0, cfl=1e-297, n_points=65)
+    # at t_end 0 the overflowing speed / cfl times 0 made a NaN grid
+    with pytest.raises(ConfigError, match="cfl 1e-200 sizes a non-finite grid"):
+        solver.init_grid(data, fast, 0.0, cfl=1e-200, n_points=65)
 
 
 def test_memory_budget_enforced():
@@ -317,15 +327,43 @@ def test_cone_check_matches_mask_definition(n, h, r_cells, level, fill, at_cut):
 def test_snapshot_archive_format(tmp_path):
     cfg = ExperimentConfig(profile="const:1", data="bump", t_end=2.0, n_points=501, snapshots=5)
     path = tmp_path / "snapshots.txt"
-    solver.run(cfg, archive_path=str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t=0.0"
-    first = np.array([float(v) for v in lines[1].split()])
-    assert first.shape == (501,)
+    series = solver.run(cfg, archive_path=str(path))
+    # one .npy array [t, u...] per snapshot, at the times of the series
+    records = read_archive(path)
+    assert all(rec.dtype == np.float64 and rec.shape == (502,) for rec in records)
+    assert [rec[0] for rec in records] == list(series.times)
     grid = solver.init_grid(get_data("bump"), get_profile("const:1"), 2.0, n_points=501)
-    assert np.array_equal(first, np.asarray(get_data("bump").u0(grid.x), dtype=float))
-    # one "t=..." line plus one value line per snapshot
-    assert len(lines) % 2 == 0
+    u0 = np.asarray(get_data("bump").u0(grid.x), dtype=float)
+    assert np.array_equal(records[0][1:].view(np.int64), u0.view(np.int64))
+
+
+@pytest.mark.parametrize("healthy_calls,kept", [(0, 1), (1, 2), (2, 2), (3, 3)])
+def test_archive_keeps_whole_records_after_blow_up(tmp_path, monkeypatch, healthy_calls, kept):
+    # kernel calls alternate between stepping to a snapshot and the one step
+    # after it; every call after the healthy ones returns a non-finite field
+    cfg = ExperimentConfig(profile="const:1", data="bump", t_end=1.0, n_points=501, snapshots=5)
+    solver.run(cfg, archive_path=str(tmp_path / "clean"))
+    clean = read_archive(tmp_path / "clean")
+    calls = []
+
+    def poisoned(u_prev, u_curr, lam2, *edges):
+        calls.append(len(lam2))
+        new_prev, new_curr = advance_steps(u_prev, u_curr, lam2, *edges)
+        return new_prev, new_curr if len(calls) <= healthy_calls else new_curr * np.nan
+
+    monkeypatch.setattr(solver, "advance_steps", poisoned)
+    path = tmp_path / "blown"
+    with pytest.raises(BlowUpError) as info:
+        solver.run(cfg, archive_path=str(path))
+    # the records are whole: the last is the last snapshot before the bad step
+    records = read_archive(path)
+    grid = solver.init_grid(get_data("bump"), get_profile("const:1"), 1.0, n_points=501)
+    levels = solver._snapshot_levels(grid.n_steps, cfg.snapshots)
+    before = [level * grid.dt for level in levels if level < info.value.step_index]
+    assert [rec[0] for rec in records] == before
+    assert len(records) == kept
+    for rec, ref in zip(records, clean):
+        assert np.array_equal(rec.view(np.int64), ref.view(np.int64))
 
 
 def test_antiderivative_field_is_cumulative_trapezoid():
