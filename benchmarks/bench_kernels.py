@@ -1,9 +1,12 @@
 """Benchmark the compiled kernels against the numpy fallback.
 
-Runs the same multi-step advance through both backends, then the same
-snapshot pass (antiderivative and six squared trapezoid norms) on an 8001-node
-snapshot, checks that the results are bit-identical, and reports
-throughput and microseconds per snapshot. Build the compiled kernel first
+Runs the same multi-step advance through both backends, then one call of
+the ``refine`` benchmark workload's finest level (``const:1`` ``bump``,
+``t_end`` 3, 32001 nodes, the call ``solver.evolve_final`` makes), then the
+same snapshot pass (the step past the snapshot, its antiderivative and six
+squared trapezoid norms) on an 8001-node snapshot. It checks that the
+results are bit-identical and reports throughput, milliseconds per refine
+call and microseconds per snapshot. Build the compiled kernel first
 (``python setup.py build_ext --inplace``), then invoke directly:
 
     python benchmarks/bench_kernels.py [n_points] [n_steps]
@@ -11,11 +14,13 @@ throughput and microseconds per snapshot. Build the compiled kernel first
 
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from wavebound import kernels
+from wavebound import kernels, solver
+from wavebound.config import ExperimentConfig
 from wavebound.grids import cumtrapz
 from wavebound.initial_data import bump
 from wavebound.kernels import reference
@@ -29,6 +34,9 @@ _stencil = (
 
 # nodes of the snapshot pass problem: the dense workload's grid size
 SNAPSHOT_POINTS = 8001
+
+# the refine workload's finest level
+REFINE_CONFIG = ExperimentConfig(profile="const:1", data="bump", t_end=3.0, n_points=32001)
 
 
 def make_problem(n_points, n_steps):
@@ -50,24 +58,30 @@ def time_backend(advance, u, lam2, repeats=5):
     return best, result
 
 
+def refine_problem():
+    """The arguments of the one kernel call ``evolve_final`` makes for REFINE_CONFIG."""
+    profile, _, grid, u0, u1, lam2 = solver._resolve(REFINE_CONFIG)
+    return u0, solver.first_step(u0, u1, profile.a0, grid), lam2[1 : grid.n_steps]
+
+
 def snapshot_problem(n_points):
-    """Three consecutive levels of a stepped bump and the first two antiderivatives."""
+    """Two consecutive levels of a stepped bump, their antiderivatives, h, dt,
+    and the squared Courant factor of the step the pass takes."""
     u, lam2 = make_problem(n_points, 3)
     h, dt = 400.0 / (n_points - 1), 0.9 * 400.0 / (n_points - 1)
     u_prev, u_curr = reference.advance_steps(u, u, lam2[:2])
-    _, u_next = reference.advance_steps(u_prev, u_curr, lam2[2:])
     v_prev, v_curr = cumtrapz(u_prev, h), cumtrapz(u_curr, h)
-    return (u_prev, u_curr, u_next, v_prev, v_curr, h, dt)
+    return (u_prev, u_curr, v_prev, v_curr, h, dt), lam2[2]
 
 
-def time_snapshot(snapshot_norms, args, repeats=200):
-    """Best-of-five mean seconds per call over ``repeats`` calls, and the last result."""
+def time_calls(fn, args, calls, repeats=5):
+    """Best-of-``repeats`` mean seconds per call over ``calls`` calls, and the last result."""
     best = float("inf")
-    for _ in range(5):
+    for _ in range(repeats):
         t0 = time.perf_counter()
-        for _ in range(repeats):
-            result = snapshot_norms(*args)
-        best = min(best, (time.perf_counter() - t0) / repeats)
+        for _ in range(calls):
+            result = fn(*args)
+        best = min(best, (time.perf_counter() - t0) / calls)
     return best, result
 
 
@@ -80,11 +94,16 @@ def main():
     n_steps = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
     u, lam2 = make_problem(n_points, n_steps)
     node_steps = n_points * n_steps
-    snapshot = snapshot_problem(SNAPSHOT_POINTS)
+    refine = refine_problem()
+    refine_nodes = f"{REFINE_CONFIG.n_points} nodes x {refine[2].size} steps"
+    snapshot, snapshot_lam2 = snapshot_problem(SNAPSHOT_POINTS)
 
     t_py, out_py = time_backend(reference.advance_steps, u, lam2)
     print(f"python   backend: {t_py:8.4f} s   {node_steps / t_py / 1e6:8.1f} M node-steps/s")
-    s_py, norms_py = time_snapshot(reference.snapshot_norms, snapshot)
+    r_py, refine_py = time_calls(reference.advance_steps, refine, calls=1, repeats=1)
+    print(f"python   refine level: {r_py * 1e3:8.1f} ms per call ({refine_nodes})")
+    py_pass = partial(reference.snapshot_pass, lam2=snapshot_lam2)
+    s_py, snap_py = time_calls(py_pass, snapshot, calls=200)
     print(f"python   snapshot pass: {s_py * 1e6:8.1f} us per snapshot ({SNAPSHOT_POINTS} nodes)")
 
     if _stencil is None:
@@ -94,13 +113,18 @@ def main():
     t_c, out_c = time_backend(_stencil.advance_steps, u, lam2)
     print(f"compiled backend: {t_c:8.4f} s   {node_steps / t_c / 1e6:8.1f} M node-steps/s")
     print(f"speedup: {t_py / t_c:.2f}x")
-    s_c, norms_c = time_snapshot(_stencil.snapshot_norms, snapshot)
+    r_c, refine_c = time_calls(_stencil.advance_steps, refine, calls=1, repeats=3)
+    print(f"compiled refine level: {r_c * 1e3:8.1f} ms per call ({refine_nodes})")
+    print(f"refine speedup: {r_py / r_c:.2f}x")
+    c_pass = partial(_stencil.snapshot_pass, lam2=snapshot_lam2)
+    s_c, snap_c = time_calls(c_pass, snapshot, calls=200)
     print(f"compiled snapshot pass: {s_c * 1e6:8.1f} us per snapshot ({SNAPSHOT_POINTS} nodes)")
     print(f"snapshot speedup: {s_py / s_c:.2f}x")
     identical = (
         np.array_equal(out_py, out_c)
-        and same_bits(norms_py[0], norms_c[0])
-        and same_bits(norms_py[1], norms_c[1])
+        and all(same_bits(w, g) for w, g in zip(refine_py, refine_c))
+        and all(same_bits(w, g) for w, g in zip(snap_py[:3], snap_c[:3]))
+        and snap_py[3:] == snap_c[3:]
     )
     print(f"bit-identical results: {identical}")
     if not identical:

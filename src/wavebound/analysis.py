@@ -21,6 +21,7 @@ import numpy as np
 
 from wavebound.coefficients import AssumptionFlags, CoefficientProfile, evaluate
 from wavebound.errors import (
+    BlowUpError,
     FitError,
     HypothesisError,
     ProfileError,
@@ -29,7 +30,7 @@ from wavebound.errors import (
 )
 from wavebound.grids import GridSpec, trapz_sq
 from wavebound.initial_data import InitialData, MomentReport
-from wavebound.kernels import snapshot_norms
+from wavebound.kernels import snapshot_pass
 
 BOUND_LABELS = ("Thm1.1", "Cor1.1", "Cor1.2")
 
@@ -116,43 +117,50 @@ def l2_norm_sq(fld: np.ndarray, grid: GridSpec) -> float:
     return trapz_sq(fld, grid.h)
 
 
-def _record(t, u_prev, u_curr, u_next, v_prev, v_curr, a_t, ap_t, h, dt):
-    """The record, reconstruction error and ``v_next`` from one kernel pass."""
-    v_next, (l2u, l2ux, l2vx, l2_rec, l2_ut, l2_vt) = snapshot_norms(
-        u_prev, u_curr, u_next, v_prev, v_curr, h, dt
-    )
+def _record(t, snap, a_t, ap_t):
+    """The record and reconstruction error from one kernel pass's norms."""
+    l2u, l2ux, l2vx, l2_rec, l2_ut, l2_vt = snap.norms
     e_u = 0.5 * (l2_ut + a_t * a_t * l2ux)
     e_v = 0.5 * (l2_vt + a_t * a_t * l2vx)
     recon = math.sqrt(l2_rec) / max(1.0, math.sqrt(l2u))
-    return DiagnosticRecord(t, l2u, e_u, e_v, l2vx, a_t, ap_t), recon, v_next
+    return DiagnosticRecord(t, l2u, e_u, e_v, l2vx, a_t, ap_t), recon
 
 
 def initial_record(u0, u1, v0, profile: CoefficientProfile, grid: GridSpec):
     """Diagnostic record at t = 0, using the exact initial velocity.
 
-    ``v0`` is the antiderivative (``cumtrapz``) of ``u0``. Returns the record
-    and the reconstruction error. The kernel pass takes ``u1`` as the next
-    level of a zero previous level with dt = 1/2, so its centered time
+    ``v0`` is the antiderivative (``cumtrapz``) of ``u0``. Returns the
+    record, the reconstruction error and the kernel pass, whose ``extent``
+    is that of ``u0``. The pass takes no step: it is given ``u1`` as the
+    next level of a zero previous level with dt = 1/2, so its centered time
     differences are ``u1`` and the antiderivative of ``u1`` exactly.
     """
     a0, ap0 = evaluate(profile, 0.0)
     zero = np.zeros_like(u0, dtype=float)
-    rec, recon, _ = _record(0.0, zero, u0, u1, zero, v0, a0, ap0, grid.h, 0.5)
-    return rec, recon
+    snap = snapshot_pass(zero, u0, zero, v0, grid.h, 0.5, u_next=u1)
+    return (*_record(0.0, snap, a0, ap0), snap)
 
 
 def snapshot_record(
-    t, u_prev, u_curr, u_next, v_prev, v_curr, profile: CoefficientProfile, grid: GridSpec
+    level, u_prev, u_curr, v_prev, v_curr, lam2, profile: CoefficientProfile, grid: GridSpec
 ):
-    """Diagnostic record at an interior snapshot from three field levels.
+    """Diagnostic record at snapshot ``level``, taking the step past it.
 
-    ``v_prev`` and ``v_curr`` are the antiderivatives (``cumtrapz``) of the
-    first two levels. Returns the record, the reconstruction error and
-    ``v_next``, the antiderivative of ``u_next``, which the same kernel pass
-    computes.
+    ``u_prev`` and ``u_curr`` are the levels ``level - 1`` and ``level``,
+    ``v_prev`` and ``v_curr`` their antiderivatives (``cumtrapz``), and
+    ``lam2`` the squared Courant factor of the step to ``level + 1``. One
+    kernel pass takes that step and computes the diagnostics. Returns the
+    record, the reconstruction error and the pass, which holds the next
+    level, its antiderivative and the extent of ``u_curr``. Raises
+    BlowUpError naming step ``level + 1`` when that step is not finite,
+    before the profile is evaluated.
     """
+    snap = snapshot_pass(u_prev, u_curr, v_prev, v_curr, grid.h, grid.dt, lam2=lam2)
+    if not snap.finite:
+        raise BlowUpError(level + 1)
+    t = level * grid.dt
     a_t, ap_t = evaluate(profile, t)
-    return _record(t, u_prev, u_curr, u_next, v_prev, v_curr, a_t, ap_t, grid.h, grid.dt)
+    return (*_record(t, snap, a_t, ap_t), snap)
 
 
 def energy_identity_residual(series: DiagnosticSeries):

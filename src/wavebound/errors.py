@@ -35,8 +35,10 @@ class BlowUpError(WaveboundError):
     ``step_index`` is the index of the first bad step.
     """
 
-    def __init__(self, message, step_index):
-        super().__init__(message)
+    def __init__(self, step_index):
+        super().__init__(
+            f"non-finite field at step {step_index}; check the CFL number and the profile"
+        )
         self.step_index = step_index
 
 

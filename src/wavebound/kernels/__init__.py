@@ -5,7 +5,7 @@ file by ``python setup.py build_ext --inplace`` (or ``pip install
 --no-build-isolation -e .``) and loaded with ctypes. When the library is not
 there, fails to load or lacks either function, the numpy reference
 implementation is used for both, so ``BACKEND`` names the one backend that
-serves ``advance_steps`` and ``snapshot_norms``. Both backends produce
+serves ``advance_steps`` and ``snapshot_pass``. Both backends produce
 bit-identical results, check their arguments the same way and never write
 into their inputs; the parity tests load both backends directly.
 """
@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from wavebound.kernels import reference
-from wavebound.kernels.reference import checked_arrays, checked_levels
+from wavebound.kernels.reference import Snapshot, checked_arrays, checked_snapshot
 
 # file name stem of the compiled library; no Python module has this name
 LIBRARY = "_stencil_c"
@@ -39,7 +39,7 @@ class Backend(NamedTuple):
     """The two kernel functions, both from one backend."""
 
     advance_steps: Callable
-    snapshot_norms: Callable
+    snapshot_pass: Callable
 
 
 def load(path) -> Backend:
@@ -48,22 +48,24 @@ def load(path) -> Backend:
     Its functions take the arguments of the reference backend and return
     the same bits. Raises OSError when the file is not a loadable library
     and AttributeError when it lacks one of the functions (a library built
-    from an older ``stencil.c``).
+    from an older ``stencil.c``, whose snapshot function had other
+    arguments under another name).
     """
     lib = ctypes.CDLL(os.fspath(path))
-    c_steps, c_norms = lib.advance_steps, lib.snapshot_norms
+    c_steps, c_pass = lib.advance_steps, lib.snapshot_pass
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     c_steps.argtypes = (ptr, ptr, ptr, size, ptr, size, ptr)
     c_steps.restype = None
-    c_norms.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, size, real, real, ptr)
-    c_norms.restype = None
+    c_pass.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, size, ptr, real, real, ptr, ptr)
+    c_pass.restype = None
 
     def advance_steps(u_prev, u_curr, lam2, right=None):
         """Advance the recurrence len(lam2) steps in C; see the reference backend.
 
         Like the reference backend, it copies its inputs into a ring of
         three levels that the C loop cycles through, so they are never
-        written.
+        written. The third level is left uninitialised: the C loop zeroes
+        it outside its first band.
         """
         u_prev, u_curr, lam2, right = checked_arrays(u_prev, u_curr, lam2, right)
         ring = (u_prev.copy(), u_curr.copy(), np.empty_like(u_curr))
@@ -74,28 +76,34 @@ def load(path) -> Backend:
         k = lam2.size % 3
         return ring[k], ring[(k + 1) % 3]
 
-    def snapshot_norms(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
-        """One snapshot's antiderivative and six norms in C; see the reference backend."""
-        levels = checked_levels(
-            u_prev=u_prev, u_curr=u_curr, u_next=u_next, v_prev=v_prev, v_curr=v_curr
+    def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2=None, u_next=None):
+        """One snapshot's step, antiderivative and six norms in C; see the reference backend."""
+        (u_prev, u_curr, v_prev, v_curr, u_next), lam2 = checked_snapshot(
+            u_prev, u_curr, v_prev, v_curr, lam2, u_next
         )
-        v_next = np.empty_like(levels[2])
+        if lam2 is not None:
+            u_next = np.empty_like(u_curr)
+        v_next = np.empty_like(u_curr)
         norms = np.empty(6)
-        c_norms(
-            *(f.ctypes.data for f in levels), v_next.ctypes.data, v_next.size,
-            h, dt, norms.ctypes.data,
+        info = np.empty(3, dtype=np.intp)
+        c_pass(
+            u_prev.ctypes.data, u_curr.ctypes.data, u_next.ctypes.data,
+            v_prev.ctypes.data, v_curr.ctypes.data, v_next.ctypes.data, v_next.size,
+            None if lam2 is None else lam2.ctypes.data, h, dt,
+            norms.ctypes.data, info.ctypes.data,
         )
-        return v_next, norms.tolist()
+        finite, first, last = info.tolist()
+        return Snapshot(u_next, v_next, norms.tolist(), bool(finite), (first, last))
 
-    return Backend(advance_steps, snapshot_norms)
+    return Backend(advance_steps, snapshot_pass)
 
 
-advance_steps, snapshot_norms = reference.advance_steps, reference.snapshot_norms
+advance_steps, snapshot_pass = reference.advance_steps, reference.snapshot_pass
 BACKEND = "python"
 _library = library_path(Path(__file__).parent)
 if _library is not None:
     try:
-        advance_steps, snapshot_norms = load(_library)
+        advance_steps, snapshot_pass = load(_library)
         BACKEND = "compiled"
     except (OSError, AttributeError):
         pass  # not a loadable library with both functions: keep numpy for both

@@ -3,13 +3,31 @@
 This is the fallback backend used when the compiled kernel is not built.
 The arithmetic is written to match the compiled kernel operation for
 operation, so the two backends produce bit-identical results. Both take
-their arguments through :func:`checked_arrays` and :func:`checked_levels`,
+their arguments through :func:`checked_arrays` and :func:`checked_snapshot`,
 and, like the compiled kernel, neither warns on overflow: callers check.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from wavebound.grids import centered_diff, cumtrapz, trapz_sq
+
+
+class Snapshot(NamedTuple):
+    """What one snapshot pass returns."""
+
+    # the level after the snapshot: the step taken, or the level given
+    u_next: np.ndarray
+    # its cumulative trapezoid
+    v_next: np.ndarray
+    # trapz_sq of u_curr, D u_curr, D v_curr, D v_curr - u_curr, u_t and v_t
+    norms: list
+    # whether u_next is finite; a non-finite value persists, so this covers u_curr
+    finite: bool
+    # the first and last node where u_curr != 0.0 (NaN counts, -0.0 does
+    # not), or (n, -1) when there is none
+    extent: tuple
 
 
 def checked_levels(**levels):
@@ -31,12 +49,25 @@ def checked_levels(**levels):
     return arrays
 
 
-def checked_arrays(u_prev, u_curr, lam2, right):
-    """The stepping arguments as contiguous float64 arrays, or ValueError."""
-    u_prev, u_curr = checked_levels(u_prev=u_prev, u_curr=u_curr)
+def checked_lam2(lam2):
+    """The squared Courant factors as a contiguous 1-D float64 array, or ValueError.
+
+    They must be finite: the kernels step only the live band, which is exact
+    because ``lam * 0.0`` is zero, and ``inf * 0.0`` is NaN.
+    """
     lam2 = np.ascontiguousarray(lam2, dtype=np.float64)
     if lam2.ndim != 1:
         raise ValueError(f"lam2 must be a 1-D array, got shape {lam2.shape}")
+    finite = np.isfinite(lam2)
+    if not finite.all():
+        raise ValueError(f"lam2 must be finite, got {lam2[~finite][0]}")
+    return lam2
+
+
+def checked_arrays(u_prev, u_curr, lam2, right):
+    """The stepping arguments as contiguous float64 arrays, or ValueError."""
+    u_prev, u_curr = checked_levels(u_prev=u_prev, u_curr=u_curr)
+    lam2 = checked_lam2(lam2)
     if right is not None:
         right = np.ascontiguousarray(right, dtype=np.float64)
         if right.ndim != 1 or right.size < lam2.size:
@@ -46,55 +77,127 @@ def checked_arrays(u_prev, u_curr, lam2, right):
     return u_prev, u_curr, lam2, right
 
 
+def checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2, u_next):
+    """The snapshot pass's levels and its step's factor as float64 arrays, or ValueError.
+
+    Exactly one of ``lam2``, the squared Courant factor of the step to the
+    next level, and ``u_next``, the next level itself, is given. Returns the
+    levels ``(u_prev, u_curr, v_prev, v_curr, u_next)`` and ``lam2`` as a
+    one-value array; the one not given stays None.
+    """
+    if (lam2 is None) == (u_next is None):
+        raise ValueError("the snapshot pass takes exactly one of lam2 and u_next")
+    levels = dict(u_prev=u_prev, u_curr=u_curr, v_prev=v_prev, v_curr=v_curr)
+    if lam2 is not None:
+        lam2 = checked_lam2(np.ravel(lam2))
+        if lam2.size != 1:
+            raise ValueError(f"the snapshot pass takes one lam2, got {lam2.size}")
+        return (*checked_levels(**levels), None), lam2
+    return tuple(checked_levels(**levels, u_next=u_next)), None
+
+
+def _extent(mask):
+    """The first and last index where ``mask`` is true, or (n, -1) when none is."""
+    first = int(mask.argmax())
+    if not mask[first]:
+        return mask.size, -1
+    return first, mask.size - 1 - int(mask[::-1].argmax())
+
+
+def _live_band(u_prev, u_curr, right):
+    """[lo, hi]: the nodes where either level has a nonzero bit pattern.
+
+    With ``right`` given the right edge counts as live. With nothing live it
+    is (n, -1), an empty band.
+    """
+    lo, hi = _extent((u_prev.view(np.uint64) | u_curr.view(np.uint64)) != 0)
+    if right is not None:
+        hi = u_curr.size - 1
+        lo = min(lo, hi)
+    return lo, hi
+
+
+def _step(c, a, b, lam, lap, lo, end):
+    """Write the step at the interior nodes [lo, end) of ``c``; ``lap`` is scratch.
+
+    ``2 b - a + lam (b[j+1] - 2 b + b[j-1])`` in that order, as the compiled
+    kernel computes it.
+    """
+    if end <= lo:
+        return
+    inner, lap = c[lo:end], lap[: end - lo]
+    np.multiply(2.0, b[lo:end], out=lap)
+    np.subtract(lap, a[lo:end], out=inner)
+    np.multiply(2.0, b[lo:end], out=lap)
+    np.subtract(b[lo + 1 : end + 1], lap, out=lap)
+    np.add(lap, b[lo - 1 : end - 1], out=lap)
+    np.multiply(lam, lap, out=lap)
+    np.add(inner, lap, out=inner)
+
+
 def advance_steps(u_prev, u_curr, lam2, right=None):
     """Advance the recurrence len(lam2) steps.
 
     lam2[s] is the squared Courant factor (a(t) dt / h)^2 frozen at the time
-    level consumed by step s. ``right`` optionally prescribes the right
-    boundary value of each new level; the left one is zero, as is the right
-    one by default. The inputs are never written: the returned pair is the
-    final (previous, current), in arrays this call allocates.
+    level consumed by step s; every factor must be finite. ``right``
+    optionally prescribes the right boundary value of each new level; the
+    left one is zero, as is the right one by default. The inputs are never
+    written: the returned pair is the final (previous, current), in arrays
+    this call allocates.
 
     Like the compiled kernel, the levels cycle through a ring of three
-    arrays that starts as copies of the inputs. Each step evaluates
-    ``2 b - a + lam (b[2:] - 2 b + b[:-2])`` on the interior in that order,
-    writing into the new level and one scratch array allocated once per call
+    arrays that starts as copies of the inputs, and step s updates only the
+    band ``[lo - (s + 1), hi + (s + 1)]`` around the nodes ``[lo, hi]``
+    where the inputs have a nonzero bit pattern. Outside it the full sweep
+    would write +0.0 over +0.0, so the result is the full sweep's bit for
+    bit. The scratch array of :func:`_step` is allocated once per call
     instead of fresh temporaries per step.
     """
     u_prev, u_curr, lam2, right = checked_arrays(u_prev, u_curr, lam2, right)
+    n = u_curr.size
     ring = (u_prev.copy(), u_curr.copy(), np.empty_like(u_curr))
-    lap = np.empty(u_curr.size - 2)
+    lap = np.empty(n - 2)
+    lo, hi = _live_band(u_prev, u_curr, right)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(lam2.size):
             a, b, c = ring[s % 3], ring[(s + 1) % 3], ring[(s + 2) % 3]
-            lam = lam2[s]
-            inner = c[1:-1]
-            np.multiply(2.0, b[1:-1], out=lap)
-            np.subtract(lap, a[1:-1], out=inner)
-            np.multiply(2.0, b[1:-1], out=lap)
-            np.subtract(b[2:], lap, out=lap)
-            np.add(lap, b[:-2], out=lap)
-            np.multiply(lam, lap, out=lap)
-            np.add(inner, lap, out=inner)
+            if lo <= hi:
+                lo, hi = lo - 1, hi + 1
+            j0, end = max(lo, 1), min(hi + 1, n - 1)
+            if s == 0:
+                # the new array holds the full sweep's +0.0 outside the first band
+                c[1:j0] = 0.0
+                c[max(end, j0) : -1] = 0.0
+            _step(c, a, b, lam2[s], lap, j0, end)
             c[0] = 0.0
             c[-1] = 0.0 if right is None else right[s]
     k = lam2.size % 3
     return ring[k], ring[(k + 1) % 3]
 
 
-def snapshot_norms(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
-    """One snapshot's antiderivative and squared trapezoid norms.
+def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2=None, u_next=None):
+    """One snapshot's step, antiderivative and squared trapezoid norms.
 
-    Returns ``v_next``, the cumulative trapezoid of ``u_next``, and the six
-    norms ``trapz_sq(f, h)`` for ``f`` = ``u_curr``, ``D u_curr``,
+    With ``lam2`` the pass first takes the full-width step from
+    ``(u_prev, u_curr)`` to ``u_next`` at that squared Courant factor, with
+    zero edges; otherwise ``u_next`` is the given next level. Returns a
+    :class:`Snapshot`: ``u_next``; ``v_next``, its cumulative trapezoid; the
+    six norms ``trapz_sq(f, h)`` for ``f`` = ``u_curr``, ``D u_curr``,
     ``D v_curr``, ``D v_curr - u_curr``, ``u_t`` and ``v_t``, where ``D`` is
     the centered difference and the time derivatives are centered across
-    the three levels. The inputs are never written.
+    the three levels; whether ``u_next`` is finite; and the extent of
+    ``u_curr``'s nonzero values. The inputs are never written.
     """
-    u_prev, u_curr, u_next, v_prev, v_curr = checked_levels(
-        u_prev=u_prev, u_curr=u_curr, u_next=u_next, v_prev=v_prev, v_curr=v_curr
+    (u_prev, u_curr, v_prev, v_curr, u_next), lam2 = checked_snapshot(
+        u_prev, u_curr, v_prev, v_curr, lam2, u_next
     )
     with np.errstate(over="ignore", invalid="ignore"):
+        if lam2 is not None:
+            n = u_curr.size
+            u_next = np.empty_like(u_curr)
+            _step(u_next, u_prev, u_curr, lam2[0], np.empty(n - 2), 1, n - 1)
+            u_next[0] = 0.0
+            u_next[-1] = 0.0
         v_next = cumtrapz(u_next, h)
         dv = centered_diff(v_curr, h)
         fields = (
@@ -105,4 +208,6 @@ def snapshot_norms(u_prev, u_curr, u_next, v_prev, v_curr, h, dt):
             (u_next - u_prev) / (2.0 * dt),
             (v_next - v_prev) / (2.0 * dt),
         )
-        return v_next, [trapz_sq(f, h) for f in fields]
+        norms = [trapz_sq(f, h) for f in fields]
+    finite = bool(np.all(np.isfinite(u_next)))
+    return Snapshot(u_next, v_next, norms, finite, _extent(u_curr != 0.0))

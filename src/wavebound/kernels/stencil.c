@@ -5,23 +5,68 @@
    fused multiply-add (setup.py builds it with -ffp-contract=off), so both
    backends give bit-identical results. */
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
-static void step(double *restrict c, const double *restrict a,
-                 const double *restrict b, ptrdiff_t n, double lam)
+/* Whether x has a nonzero bit pattern: -0.0, subnormals, NaN and inf do. */
+static int live(double x)
 {
-    for (ptrdiff_t j = 1; j < n - 1; j++)
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    return bits != 0;
+}
+
+/* The step at the nodes [lo, end) of the interior. */
+static void step(double *restrict c, const double *restrict a,
+                 const double *restrict b, ptrdiff_t lo, ptrdiff_t end, double lam)
+{
+    for (ptrdiff_t j = lo; j < end; j++)
         c[j] = 2.0 * b[j] - a[j] + lam * (b[j + 1] - 2.0 * b[j] + b[j - 1]);
+}
+
+static void zero(double *c, ptrdiff_t lo, ptrdiff_t end)
+{
+    for (ptrdiff_t j = lo; j < end; j++)
+        c[j] = 0.0;
 }
 
 /* Advance nsteps steps through the ring (a, b, c) of n-node levels: step s
    reads the previous and current levels and writes the next one, with the
    edge values 0 and right[s] (zero when NULL). After the call the final
-   (previous, current) pair is ring[nsteps % 3], ring[(nsteps + 1) % 3]. */
+   (previous, current) pair is ring[nsteps % 3], ring[(nsteps + 1) % 3].
+
+   Only the live band is stepped. Where both levels hold +0.0 at a node and
+   its neighbours, the full sweep writes 2*0 - 0 + lam*0 = +0.0 for every
+   finite lam, so if a and b are live only in [lo, hi], step s changes
+   nothing outside [lo - (s + 1), hi + (s + 1)]. The band is chosen by bit
+   pattern, so a -0.0 or a subnormal inside it is stepped exactly as the full
+   sweep steps it. c starts uninitialised: it is zeroed outside the first
+   band, and every later level the ring reuses is +0.0 outside the band. */
 void advance_steps(double *a, double *b, double *c, ptrdiff_t n,
                    const double *lam2, ptrdiff_t nsteps, const double *right)
 {
+    ptrdiff_t lo = 0, hi = n - 1;
+    while (lo < n && !live(a[lo]) && !live(b[lo]))
+        lo++;
+    while (hi > lo && !live(a[hi]) && !live(b[hi]))
+        hi--;
+    if (right) {
+        /* the right edge value turns live after the first step */
+        hi = n - 1;
+        lo = lo < hi ? lo : hi;
+    }
+    /* with nothing live (lo == n) the band stays empty */
     for (ptrdiff_t s = 0; s < nsteps; s++) {
-        step(c, a, b, n, lam2[s]);
+        if (lo <= hi) {
+            lo--;
+            hi++;
+        }
+        ptrdiff_t j0 = lo > 1 ? lo : 1, end = hi < n - 2 ? hi + 1 : n - 1;
+        if (s == 0) {
+            zero(c, 1, j0);
+            zero(c, end > j0 ? end : j0, n - 1);
+        }
+        step(c, a, b, j0, end, lam2[s]);
         c[0] = 0.0;
         c[n - 1] = right ? right[s] : 0.0;
         double *t = a;
@@ -124,14 +169,47 @@ static void pairwise(const struct snapshot *f, ptrdiff_t lo, ptrdiff_t m, double
         res[s] += right[s];
 }
 
-/* One snapshot's diagnostics in one pass over n >= 3 nodes: vn becomes the
-   cumulative trapezoid of un (np.cumsum: the first term copied, then
-   sequential adds), and norms[s] the composite trapezoid of the s-th square
-   listed at squares(), from its numpy sum as grids.trapz_sq computes it. */
-void snapshot_norms(const double *up, const double *uc, const double *un,
-                    const double *vp, const double *vc, double *vn, ptrdiff_t n,
-                    double h, double dt, double *norms)
+/* Whether every value of x[0..n) is finite: none has all exponent bits set. */
+static int all_finite(const double *x, ptrdiff_t n)
 {
+    const uint64_t exponent = 0x7ff0000000000000u;
+    uint64_t bad = 0;
+    for (ptrdiff_t j = 0; j < n; j++) {
+        uint64_t bits;
+        memcpy(&bits, &x[j], sizeof bits);
+        bad |= (bits & exponent) == exponent;
+    }
+    return !bad;
+}
+
+/* One snapshot in one pass over n >= 3 nodes. When lam is not NULL, un is
+   first written with the full-width step from (up, uc) at lam[0], edge
+   values 0; when it is NULL, un is the given next level and is only read.
+   vn becomes the cumulative trapezoid of un (np.cumsum: the first term
+   copied, then sequential adds), and norms[s] the composite trapezoid of
+   the s-th square listed at squares(), from its numpy sum as
+   grids.trapz_sq computes it. info[0] is 1 when un is finite, else 0;
+   info[1] and info[2] are the first and last node where uc != 0.0 (NaN
+   counts, -0.0 does not), or n and -1 when there is none. */
+void snapshot_pass(const double *up, const double *uc, double *un,
+                   const double *vp, const double *vc, double *vn, ptrdiff_t n,
+                   const double *lam, double h, double dt, double *norms,
+                   ptrdiff_t *info)
+{
+    if (lam) {
+        step(un, up, uc, 1, n - 1, *lam);
+        un[0] = 0.0;
+        un[n - 1] = 0.0;
+    }
+    info[0] = all_finite(un, n);
+    ptrdiff_t first = 0, last = n - 1;
+    while (first < n && uc[first] == 0.0)
+        first++;
+    while (last > first && uc[last] == 0.0)
+        last--;
+    info[1] = first;
+    info[2] = first < n ? last : -1;
+
     double half_h = 0.5 * h;
     double acc = half_h * (un[1] + un[0]);
     vn[0] = 0.0;

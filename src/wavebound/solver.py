@@ -14,11 +14,17 @@ Taylor start; ``advance`` steps the field and names the first step that
 left it non-finite. ``run`` adds the snapshot diagnostics and
 ``evolve_final`` returns only the field at t_end.
 
+The kernel steps only the live band: the nodes where either level has a
+nonzero bit pattern, widened by one node per step. Outside it the full
+sweep would write +0.0 over +0.0, so every field is bit-identical to a
+full sweep's, a -0.0 inside the cone included.
+
 A snapshot carries three consecutive levels so time derivatives can be
 centered, plus the antiderivative field of each level by cumulative
 trapezoid. Each field level is stepped once and integrated at most once:
-the level after a snapshot is the next step proper, its antiderivative
-comes out of the snapshot's kernel pass, and the run keeps the two latest
+the snapshot's kernel pass takes the step to the level after it, reports
+whether that level is finite and the extent of the snapshot level's
+nonzero values, and integrates the new level; the run keeps the two latest
 antiderivatives by level for the next snapshot. The final snapshot steps
 once past t_end, checked like every other step. The kernel never writes
 into the levels it is given, so no level is copied before a step. An
@@ -173,10 +179,7 @@ def advance(u_prev: np.ndarray, u_curr: np.ndarray, lam2: np.ndarray, level: int
         if not np.all(np.isfinite(b)):
             bad = level + k + 1
             break
-    raise BlowUpError(
-        f"non-finite field at step {bad}; check the CFL number and the profile",
-        step_index=bad,
-    )
+    raise BlowUpError(bad)
 
 
 def _snapshot_levels(n_steps: int, snapshots: int) -> np.ndarray:
@@ -195,9 +198,10 @@ def run(
     At each snapshot level the three surrounding field levels and their
     antiderivatives (cumulative trapezoids) are used for centered time
     differences, and the cone containment is verified to be machine-exact.
-    The step to the level after a snapshot is the next step proper, and a
-    snapshot one or two levels later reuses the antiderivatives already
-    taken. Identical configs produce bit-identical series.
+    The step to the level after a snapshot is taken in the snapshot's
+    kernel pass, and a snapshot one or two levels later reuses the
+    antiderivatives already taken. Identical configs produce bit-identical
+    series.
     """
     profile, data, grid, u0, u1, lam2 = _resolve(config)
 
@@ -208,9 +212,9 @@ def run(
             records=[], profile=profile, data=data, grid=grid
         )
         v0 = cumtrapz(u0, grid.h)
-        rec0, recon0 = analysis.initial_record(u0, u1, v0, profile, grid)
+        rec0, recon0, snap0 = analysis.initial_record(u0, u1, v0, profile, grid)
         series.append(rec0, recon0)
-        series.cone_ok &= _cone_exact(u0, data, grid, level=0)
+        series.cone_ok &= _cone_exact(snap0.extent, data, grid, level=0)
         if archive:
             _write_archive_record(archive, 0.0, u0)
 
@@ -227,25 +231,23 @@ def run(
                 if dual is not None:
                     dual.advance(level, target, lam2)
                 level = target
-            t_here = level * grid.dt
-            series.cone_ok &= _cone_exact(u_curr, data, grid, level=level)
             if archive:
-                _write_archive_record(archive, t_here, u_curr)
+                _write_archive_record(archive, level * grid.dt, u_curr)
             v_prev, v_curr = (
                 v_by_level[k] if k in v_by_level else cumtrapz(u, grid.h)
                 for k, u in ((level - 1, u_prev), (level, u_curr))
             )
             if dual is not None:
                 dual.compare(v_curr)
-            stepped = advance(u_prev, u_curr, lam2[level : level + 1], level)
+            rec, recon, snap = analysis.snapshot_record(
+                level, u_prev, u_curr, v_prev, v_curr, lam2[level], profile, grid
+            )
+            series.cone_ok &= _cone_exact(snap.extent, data, grid, level=level)
             if dual is not None:
                 dual.advance(level, level + 1, lam2)
-            rec, recon, v_next = analysis.snapshot_record(
-                t_here, u_prev, u_curr, stepped[1], v_prev, v_curr, profile, grid
-            )
             series.append(rec, recon)
-            v_by_level = {level: v_curr, level + 1: v_next}
-            u_prev, u_curr = stepped
+            v_by_level = {level: v_curr, level + 1: snap.v_next}
+            u_prev, u_curr = u_curr, snap.u_next
             level += 1
         if dual is not None:
             series.dual_v_max_rel_err = dual.max_rel_err
@@ -265,14 +267,19 @@ def evolve_final(config: ExperimentConfig):
     return grid, u_final
 
 
-def _cone_exact(u: np.ndarray, data: InitialData, grid: GridSpec, level: int) -> bool:
-    """Whether the field is exactly zero outside the numerical cone."""
+def _cone_exact(extent, data: InitialData, grid: GridSpec, level: int) -> bool:
+    """Whether a field is exactly zero outside the numerical cone.
+
+    ``extent`` is the first and last node where the field is nonzero, as
+    the snapshot pass reports it: ``(n, -1)`` for a field of zeros.
+    """
     radius = data.support_radius + level * grid.h
     thr = radius + 0.5 * grid.h
     # |x| > thr is x < -thr or x > thr; the nodes are sorted
     lo = np.searchsorted(grid.x, -thr, side="left")
     hi = np.searchsorted(grid.x, thr, side="right")
-    return not (u[:lo].any() or u[hi:].any())
+    first, last = extent
+    return bool(lo <= first and last < hi)
 
 
 def _write_archive_record(fh, t: float, u: np.ndarray):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import REPO, c_compiler
 from wavebound import kernels
@@ -59,6 +59,17 @@ def bits(u):
     return np.ascontiguousarray(u).view(np.uint64)
 
 
+def value_bits(u):
+    """The bit patterns with every NaN replaced by one NaN; -0.0 still counts.
+
+    IEEE 754 leaves open which operand's NaN an operation returns when both
+    are NaN, and the C compiler may swap the operands of a sum or product:
+    both backends give NaN at the same nodes, but not always of the same sign.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    return bits(np.where(np.isnan(u), np.nan, u))
+
+
 def test_backends_are_bit_identical(compiled_steps):
     u, _ = bump_field(n=2001, half_width=6.0)
     prev = u.copy()
@@ -105,7 +116,10 @@ def snapshot_field(rng, size, scale):
 
 
 # lengths cross numpy's pairwise-sum boundaries at 8 and 128 terms, and 8001
-# is a grid size; scales reach subnormal squares and squares that overflow
+# is a grid size; scales reach subnormal squares and squares that overflow;
+# the pass either takes its step or is given the next level, the current
+# level may have +0.0 margins or be all +0.0, and a non-finite value may sit
+# in the current level and the given next one
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.one_of(st.integers(3, 300), st.just(8001)),
@@ -113,17 +127,41 @@ def snapshot_field(rng, size, scale):
     scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e150, 1e160]),
     h=st.floats(1e-4, 10.0),
     dt=st.floats(1e-4, 10.0),
+    lam2=st.one_of(st.none(), st.floats(-2.0, 2.0), st.just(1e300)),
+    special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    current=st.sampled_from(["drawn", "margins", "zeros"]),
 )
-def test_snapshot_norms_agree_bit_for_bit(compiled_backend, n, seed, scale, h, dt):
+def test_snapshot_pass_agrees_bit_for_bit(
+    compiled_backend, n, seed, scale, h, dt, lam2, special, current
+):
     rng = np.random.default_rng(seed)
-    levels = [snapshot_field(rng, n, scale) for _ in range(5)]
-    before = [bits(f).copy() for f in levels]
-    v_want, norms_want = reference.snapshot_norms(*levels, h, dt)
-    v_got, norms_got = compiled_backend.snapshot_norms(*levels, h, dt)
-    assert np.array_equal(bits(v_want), bits(v_got))
-    assert np.array_equal(bits(norms_want), bits(norms_got))
-    for f, was in zip(levels, before):
+    u_prev, u_curr, u_next, v_prev, v_curr = (snapshot_field(rng, n, scale) for _ in range(5))
+    if current == "margins":
+        lo, hi = np.sort(rng.integers(0, n, 2))
+        u_curr[:lo] = 0.0
+        u_curr[hi + 1 :] = 0.0
+    elif current == "zeros":
+        u_curr[:] = 0.0
+    if special is not None:
+        u_curr[rng.integers(0, n)] = special
+        u_next[rng.integers(0, n)] = special
+    given_next = {"u_next": u_next} if lam2 is None else {"lam2": lam2}
+    levels = (u_prev, u_curr, v_prev, v_curr)
+    before = [bits(f).copy() for f in levels + (u_next,)]
+    want = reference.snapshot_pass(*levels, h, dt, **given_next)
+    got = compiled_backend.snapshot_pass(*levels, h, dt, **given_next)
+    for w, g in zip(want[:3], got[:3]):
+        assert np.array_equal(value_bits(w), value_bits(g))
+    assert want.finite is got.finite is bool(np.all(np.isfinite(want.u_next)))
+    nonzero = np.flatnonzero(u_curr != 0.0)
+    extent = (nonzero[0], nonzero[-1]) if nonzero.size else (n, -1)
+    assert want.extent == got.extent == extent
+    for f, was in zip(levels + (u_next,), before):
         assert np.array_equal(bits(f), was)
+    if lam2 is not None:
+        # the pass's step is the stepping kernel's step
+        _, stepped = reference.advance_steps(u_prev, u_curr, [lam2])
+        assert np.array_equal(value_bits(got.u_next), value_bits(stepped))
 
 
 def test_reference_backend_is_silent_on_overflow():
@@ -135,25 +173,40 @@ def test_reference_backend_is_silent_on_overflow():
         # 2 u overflows in the step, the squares of the fields in the snapshot pass
         big = np.full(51, 1e308)
         _, stepped = reference.advance_steps(big, big, np.full(3, 0.8))
-        levels = [0.5e160 * u, 1e160 * u, 1.5e160 * u, 0.5e160 * v, 1e160 * v]
-        _, norms = reference.snapshot_norms(*levels, 0.04, 0.03)
+        snap_step = reference.snapshot_pass(big, big, big, big, 0.04, 0.03, lam2=0.8)
+        levels = [0.5e160 * u, 1e160 * u, 0.5e160 * v, 1e160 * v]
+        snap = reference.snapshot_pass(*levels, 0.04, 0.03, u_next=1.5e160 * u)
     assert not np.all(np.isfinite(stepped))
-    assert norms[:4] == [np.inf] * 4 and not any(map(np.isfinite, norms))
+    assert not snap_step.finite
+    assert snap.finite
+    assert snap.norms[:4] == [np.inf] * 4 and not any(map(np.isfinite, snap.norms))
 
 
 @pytest.fixture(params=["python", "compiled"])
-def norms_backend(request):
+def pass_backend(request):
     if request.param == "python":
-        return reference.snapshot_norms
-    return request.getfixturevalue("compiled_backend").snapshot_norms
+        return reference.snapshot_pass
+    return request.getfixturevalue("compiled_backend").snapshot_pass
 
 
-def test_snapshot_norms_reject_levels_of_different_lengths(norms_backend):
-    levels = [np.zeros(50)] * 4 + [np.zeros(49)]
+def test_snapshot_pass_rejects_bad_arguments(pass_backend):
+    levels = [np.zeros(50)] * 3 + [np.zeros(49)]
     with pytest.raises(ValueError, match="u_prev has 50 nodes but v_curr has 49"):
-        norms_backend(*levels, 0.1, 0.1)
+        pass_backend(*levels, 0.1, 0.1, lam2=0.5)
+    with pytest.raises(ValueError, match="u_prev has 50 nodes but u_next has 49"):
+        pass_backend(*[np.zeros(50)] * 4, 0.1, 0.1, u_next=np.zeros(49))
     with pytest.raises(ValueError, match="at least 3 nodes"):
-        norms_backend(*[np.zeros(2)] * 5, 0.1, 0.1)
+        pass_backend(*[np.zeros(2)] * 4, 0.1, 0.1, lam2=0.5)
+    levels = [np.zeros(50)] * 4
+    with pytest.raises(ValueError, match="exactly one of lam2 and u_next"):
+        pass_backend(*levels, 0.1, 0.1)
+    with pytest.raises(ValueError, match="exactly one of lam2 and u_next"):
+        pass_backend(*levels, 0.1, 0.1, lam2=0.5, u_next=np.zeros(50))
+    with pytest.raises(ValueError, match="takes one lam2, got 0"):
+        pass_backend(*levels, 0.1, 0.1, lam2=[])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="lam2 must be finite"):
+            pass_backend(*levels, 0.1, 0.1, lam2=bad)
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -207,6 +260,13 @@ def test_rejects_edge_values_shorter_than_the_steps(backend, side):
         backend(np.zeros(50), np.zeros(50), np.full(100, 0.5), **edges)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rejects_non_finite_courant_factors(backend, bad):
+    # the band is exact only for finite factors: inf * 0.0 is NaN in a full sweep
+    with pytest.raises(ValueError, match=f"lam2 must be finite, got {bad}"):
+        backend(np.zeros(50), np.zeros(50), np.array([0.5, bad, 0.5]))
+
+
 def test_backend_name_is_reported():
     assert BACKEND in ("compiled", "python")
 
@@ -238,7 +298,12 @@ print(all(map(callable, names)))
     assert run.stdout.split() == ["True"]
 
 
-@pytest.mark.parametrize("library", ["missing", "unloadable", "stale"])
+# a stale library from an older stencil.c: the one whose snapshot pass
+# returned raw sums, and the one whose snapshot function took no step
+STALE_SYMBOLS = {"stale": "snapshot_sums", "stale-norms": "snapshot_norms"}
+
+
+@pytest.mark.parametrize("library", ["missing", "unloadable", *STALE_SYMBOLS])
 def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, library):
     root = numpy_root
     if library != "missing":
@@ -249,9 +314,8 @@ def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, 
         if library == "unloadable":
             target.write_bytes(b"")
         else:
-            # built from an older stencil.c, whose snapshot pass returned raw sums
             source = tmp_path / "stale.c"
-            source.write_text("void advance_steps(void) {}\nvoid snapshot_sums(void) {}\n")
+            source.write_text(f"void advance_steps(void) {{}}\nvoid {STALE_SYMBOLS[library]}(void) {{}}\n")
             subprocess.run(
                 [c_compiler(), "-shared", "-fPIC", "-o", str(target), str(source)],
                 check=True, capture_output=True, timeout=120,
@@ -260,7 +324,7 @@ def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, 
     probe = [
         sys.executable, "-c",
         "import wavebound.kernels as k; "
-        "print(k.BACKEND, k.advance_steps.__module__, k.snapshot_norms.__module__)",
+        "print(k.BACKEND, k.advance_steps.__module__, k.snapshot_pass.__module__)",
     ]
     env = dict(os.environ, PYTHONPATH=str(root))
     result = subprocess.run(probe, env=env, capture_output=True, text=True, timeout=120)
@@ -291,3 +355,55 @@ def test_scratch_buffers_are_bit_identical_to_the_plain_expression(with_edges):
     a_new, b_new = reference.advance_steps(prev.copy(), u.copy(), lam2, *edges)
     assert np.array_equal(a_ref, a_new)
     assert np.array_equal(b_ref, b_new)
+
+
+# values a band edge may hold: every one has a nonzero bit pattern
+_EDGE_VALUES = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.0, np.nan, np.inf, -np.inf])
+
+
+def banded_field(rng, n, edge_values, zero_share):
+    """+0.0 outside a random band, given values at its ends.
+
+    Inside, a share ``zero_share`` of the nodes is -0.0 and the rest normal
+    draws. One field in eight is all +0.0.
+    """
+    u = np.zeros(n)
+    if rng.random() < 0.125:
+        return u
+    lo, hi = np.sort(rng.integers(0, n, 2))
+    inside = rng.standard_normal(hi + 1 - lo)
+    u[lo : hi + 1] = np.where(rng.random(inside.size) < zero_share, -0.0, inside)
+    u[lo], u[hi] = edge_values
+    return u
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(3, 200),
+    steps=st.integers(0, 50),
+    seed=st.integers(0, 2**32 - 1),
+    lam_max=st.floats(0.0, 1.5),
+    with_right=st.booleans(),
+    edges=st.lists(_EDGE_VALUES, min_size=4, max_size=4),
+    # a band of -0.0 alone is live by its bits, though every value is zero
+    zero_share=st.sampled_from([0.2, 1.0]),
+)
+# -0.0 alone: a band chosen by value would leave a -0.0 where the sweep writes +0.0
+@example(n=3, steps=2, seed=0, lam_max=0.0, with_right=False, edges=[-0.0] * 4, zero_share=0.2)
+def test_band_stepping_matches_the_full_sweep_bit_for_bit(
+    compiled_steps, n, steps, seed, lam_max, with_right, edges, zero_share
+):
+    # the kernels step only the live band; the full-width expression steps
+    # every node, and every bit must agree, signed zeros and subnormals
+    # included, with NaN at the same nodes
+    rng = np.random.default_rng(seed)
+    u_prev = banded_field(rng, n, edges[:2], zero_share)
+    u_curr = banded_field(rng, n, edges[2:], zero_share)
+    lam2 = rng.uniform(0.0, lam_max, steps)
+    right = rng.standard_normal(steps) if with_right else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = plain_expression_steps(u_prev, u_curr, lam2, right)
+    for backend in (reference.advance_steps, compiled_steps):
+        got = backend(u_prev, u_curr, lam2, right)
+        for w, g in zip(want, got):
+            assert np.array_equal(value_bits(w), value_bits(g))

@@ -13,7 +13,7 @@ from wavebound.coefficients import get_profile
 from wavebound.errors import BlowUpError, CapacityError, ConfigError, ProfileError
 from wavebound.grids import GridSpec, cumtrapz, second_diff
 from wavebound.initial_data import get_data
-from wavebound.kernels import advance_steps, snapshot_norms
+from wavebound.kernels import advance_steps, snapshot_pass
 from wavebound.oracles import convergence_order, dalembert
 
 
@@ -251,14 +251,17 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         integrals.append(1)
         return cumtrapz(f, h)
 
-    def counting_norms(*args):
-        # the snapshot's kernel pass integrates its next level
+    def counting_pass(*args, **kwargs):
+        # the snapshot's kernel pass integrates its next level, and steps to
+        # it unless it is given it (the record at t = 0)
         integrals.append(1)
-        return snapshot_norms(*args)
+        if kwargs.get("lam2") is not None:
+            steps.append(1)
+        return snapshot_pass(*args, **kwargs)
 
     monkeypatch.setattr(solver, "advance_steps", counting_steps)
     monkeypatch.setattr(solver, "cumtrapz", counting_cumtrapz)
-    monkeypatch.setattr(analysis, "snapshot_norms", counting_norms)
+    monkeypatch.setattr(analysis, "snapshot_pass", counting_pass)
     cfg = ExperimentConfig(profile="example3", data="bump", t_end=5.0, n_points=501, snapshots=snapshots)
     series = solver.run(cfg)
     n_steps = series.grid.n_steps
@@ -272,21 +275,74 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         assert len(integrals) == n_steps + 3
 
 
-def test_step_past_t_end_is_checked(monkeypatch):
-    # every kernel call after the one up to t_end returns a non-finite field
+def poison_steps(monkeypatch, healthy_calls):
+    """Make every stepping call after the first ``healthy_calls`` give a non-finite level.
+
+    The calls are the kernel's and the snapshot passes' steps, counted
+    together in the returned list; the pass of the record at t = 0 takes no
+    step and is not counted.
+    """
     calls = []
 
-    def poisoned_after_first(u_prev, u_curr, lam2, *edges):
+    def poisoned_steps(u_prev, u_curr, lam2, *edges):
         calls.append(len(lam2))
         new_prev, new_curr = advance_steps(u_prev, u_curr, lam2, *edges)
-        return new_prev, new_curr if len(calls) == 1 else new_curr * np.nan
+        return new_prev, new_curr if len(calls) <= healthy_calls else new_curr * np.nan
 
-    monkeypatch.setattr(solver, "advance_steps", poisoned_after_first)
+    def poisoned_pass(u_prev, u_curr, *args, lam2=None, u_next=None):
+        if lam2 is not None:
+            calls.append(1)
+            if len(calls) > healthy_calls:
+                # the pass steps from a non-finite level to a non-finite one
+                u_curr = u_curr * np.nan
+        return snapshot_pass(u_prev, u_curr, *args, lam2=lam2, u_next=u_next)
+
+    monkeypatch.setattr(solver, "advance_steps", poisoned_steps)
+    monkeypatch.setattr(analysis, "snapshot_pass", poisoned_pass)
+    return calls
+
+
+def test_step_past_t_end_is_checked(monkeypatch):
+    # every kernel call after the one up to t_end returns a non-finite field
+    calls = poison_steps(monkeypatch, healthy_calls=1)
     cfg = ExperimentConfig(profile="const:1", data="bump", t_end=1.0, n_points=501, snapshots=2)
     n_steps = solver.init_grid(get_data("bump"), get_profile("const:1"), 1.0, n_points=501).n_steps
     with pytest.raises(BlowUpError) as info:
         solver.run(cfg)
     assert info.value.step_index == n_steps + 1
+    # the step up to t_end, then the final snapshot's step past it
+    assert calls == [n_steps - 1, 1]
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"])
+def test_blow_up_on_a_snapshots_own_step_names_that_step(monkeypatch, request, kernel):
+    # one overflowing Courant factor, on the step a snapshot's pass takes:
+    # the error names that step, as a separate checked step named it
+    if kernel == "compiled":
+        backend = request.getfixturevalue("compiled_backend")
+        monkeypatch.setattr(solver, "advance_steps", backend.advance_steps)
+        monkeypatch.setattr(analysis, "snapshot_pass", backend.snapshot_pass)
+    cfg = ExperimentConfig(
+        profile="const:1", data="bump", data_scale=1e4, t_end=1.0, n_points=501, snapshots=5
+    )
+    resolve = solver._resolve
+    level = int(solver._snapshot_levels(resolve(cfg).grid.n_steps, cfg.snapshots)[2])
+
+    def overflowing(config):
+        exp = resolve(config)
+        lam2 = exp.lam2.copy()
+        lam2[level] = np.finfo(float).max
+        return exp._replace(lam2=lam2)
+
+    monkeypatch.setattr(solver, "_resolve", overflowing)
+    with pytest.raises(BlowUpError) as info:
+        solver.run(cfg)
+    assert info.value.step_index == level + 1
+
+
+def _extent(u):
+    """The field's nonzero extent, as the snapshot pass reports it."""
+    return snapshot_pass(u, u, u, u, 1.0, 1.0, u_next=u).extent
 
 
 def _cone_by_mask(u, x, r, level, h):
@@ -320,8 +376,9 @@ def test_cone_check_matches_mask_definition(n, h, r_cells, level, fill, at_cut):
         if 0 <= cut < n:
             u[cut] = 1.0
     want = _cone_by_mask(u, grid.x, r, level, h)
-    assert solver._cone_exact(u, data, grid, level=level) is want
-    assert solver._cone_exact(-u[::-1], data, grid, level=level) is _cone_by_mask(-u[::-1], grid.x, r, level, h)
+    assert solver._cone_exact(_extent(u), data, grid, level=level) is want
+    flipped = -u[::-1]
+    assert solver._cone_exact(_extent(flipped), data, grid, level=level) is _cone_by_mask(flipped, grid.x, r, level, h)
 
 
 def test_snapshot_archive_format(tmp_path):
@@ -344,14 +401,7 @@ def test_archive_keeps_whole_records_after_blow_up(tmp_path, monkeypatch, health
     cfg = ExperimentConfig(profile="const:1", data="bump", t_end=1.0, n_points=501, snapshots=5)
     solver.run(cfg, archive_path=str(tmp_path / "clean"))
     clean = read_archive(tmp_path / "clean")
-    calls = []
-
-    def poisoned(u_prev, u_curr, lam2, *edges):
-        calls.append(len(lam2))
-        new_prev, new_curr = advance_steps(u_prev, u_curr, lam2, *edges)
-        return new_prev, new_curr if len(calls) <= healthy_calls else new_curr * np.nan
-
-    monkeypatch.setattr(solver, "advance_steps", poisoned)
+    poison_steps(monkeypatch, healthy_calls)
     path = tmp_path / "blown"
     with pytest.raises(BlowUpError) as info:
         solver.run(cfg, archive_path=str(path))
