@@ -14,7 +14,6 @@ call and microseconds per snapshot. Build the compiled kernel first
 
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +64,13 @@ def refine_problem():
 
 
 def snapshot_problem(n_points):
-    """Two consecutive levels of a stepped bump, their antiderivatives, h, dt,
-    and the squared Courant factor of the step the pass takes."""
+    """The snapshot pass's arguments: two consecutive levels of a stepped bump,
+    their antiderivatives, h, dt and the squared Courant factor of its step."""
     u, lam2 = make_problem(n_points, 3)
     h, dt = 400.0 / (n_points - 1), 0.9 * 400.0 / (n_points - 1)
     u_prev, u_curr = reference.advance_steps(u, u, lam2[:2])
     v_prev, v_curr = cumtrapz(u_prev, h), cumtrapz(u_curr, h)
-    return (u_prev, u_curr, v_prev, v_curr, h, dt), lam2[2]
+    return u_prev, u_curr, v_prev, v_curr, h, dt, lam2[2]
 
 
 def time_calls(fn, args, calls, repeats=5):
@@ -96,14 +95,13 @@ def main():
     node_steps = n_points * n_steps
     refine = refine_problem()
     refine_nodes = f"{REFINE_CONFIG.n_points} nodes x {refine[2].size} steps"
-    snapshot, snapshot_lam2 = snapshot_problem(SNAPSHOT_POINTS)
+    snapshot = snapshot_problem(SNAPSHOT_POINTS)
 
     t_py, out_py = time_backend(reference.advance_steps, u, lam2)
     print(f"python   backend: {t_py:8.4f} s   {node_steps / t_py / 1e6:8.1f} M node-steps/s")
     r_py, refine_py = time_calls(reference.advance_steps, refine, calls=1, repeats=1)
     print(f"python   refine level: {r_py * 1e3:8.1f} ms per call ({refine_nodes})")
-    py_pass = partial(reference.snapshot_pass, lam2=snapshot_lam2)
-    s_py, snap_py = time_calls(py_pass, snapshot, calls=200)
+    s_py, snap_py = time_calls(reference.snapshot_pass, snapshot, calls=200)
     print(f"python   snapshot pass: {s_py * 1e6:8.1f} us per snapshot ({SNAPSHOT_POINTS} nodes)")
 
     if _stencil is None:
@@ -116,8 +114,7 @@ def main():
     r_c, refine_c = time_calls(_stencil.advance_steps, refine, calls=1, repeats=3)
     print(f"compiled refine level: {r_c * 1e3:8.1f} ms per call ({refine_nodes})")
     print(f"refine speedup: {r_py / r_c:.2f}x")
-    c_pass = partial(_stencil.snapshot_pass, lam2=snapshot_lam2)
-    s_c, snap_c = time_calls(c_pass, snapshot, calls=200)
+    s_c, snap_c = time_calls(_stencil.snapshot_pass, snapshot, calls=200)
     print(f"compiled snapshot pass: {s_c * 1e6:8.1f} us per snapshot ({SNAPSHOT_POINTS} nodes)")
     print(f"snapshot speedup: {s_py / s_c:.2f}x")
     identical = (

@@ -21,16 +21,14 @@ import numpy as np
 
 from wavebound.coefficients import AssumptionFlags, CoefficientProfile, evaluate
 from wavebound.errors import (
-    BlowUpError,
     FitError,
     HypothesisError,
     ProfileError,
     SeriesError,
     WaveboundError,
 )
-from wavebound.grids import GridSpec, trapz_sq
+from wavebound.grids import GridSpec, cumtrapz, snapshot_norms, trapz_sq
 from wavebound.initial_data import InitialData, MomentReport
-from wavebound.kernels import snapshot_pass
 
 BOUND_LABELS = ("Thm1.1", "Cor1.1", "Cor1.2")
 
@@ -117,9 +115,10 @@ def l2_norm_sq(fld: np.ndarray, grid: GridSpec) -> float:
     return trapz_sq(fld, grid.h)
 
 
-def _record(t, snap, a_t, ap_t):
-    """The record and reconstruction error from one kernel pass's norms."""
-    l2u, l2ux, l2vx, l2_rec, l2_ut, l2_vt = snap.norms
+def _record(t, norms, profile: CoefficientProfile):
+    """The record and reconstruction error at ``t`` from the six squared norms."""
+    a_t, ap_t = evaluate(profile, t)
+    l2u, l2ux, l2vx, l2_rec, l2_ut, l2_vt = norms
     e_u = 0.5 * (l2_ut + a_t * a_t * l2ux)
     e_v = 0.5 * (l2_vt + a_t * a_t * l2vx)
     recon = math.sqrt(l2_rec) / max(1.0, math.sqrt(l2u))
@@ -129,38 +128,19 @@ def _record(t, snap, a_t, ap_t):
 def initial_record(u0, u1, v0, profile: CoefficientProfile, grid: GridSpec):
     """Diagnostic record at t = 0, using the exact initial velocity.
 
-    ``v0`` is the antiderivative (``cumtrapz``) of ``u0``. Returns the
-    record, the reconstruction error and the kernel pass, whose ``extent``
-    is that of ``u0``. The pass takes no step: it is given ``u1`` as the
-    next level of a zero previous level with dt = 1/2, so its centered time
-    differences are ``u1`` and the antiderivative of ``u1`` exactly.
+    ``v0`` is the antiderivative (``cumtrapz``) of ``u0``; the time
+    derivatives are ``u1`` and its antiderivative. Returns the record and
+    the reconstruction error, with no overflow warning: the series rejects a
+    non-finite record.
     """
-    a0, ap0 = evaluate(profile, 0.0)
-    zero = np.zeros_like(u0, dtype=float)
-    snap = snapshot_pass(zero, u0, zero, v0, grid.h, 0.5, u_next=u1)
-    return (*_record(0.0, snap, a0, ap0), snap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v1 = cumtrapz(u1, grid.h)
+    return _record(0.0, snapshot_norms(u0, v0, u1, v1, grid.h), profile)
 
 
-def snapshot_record(
-    level, u_prev, u_curr, v_prev, v_curr, lam2, profile: CoefficientProfile, grid: GridSpec
-):
-    """Diagnostic record at snapshot ``level``, taking the step past it.
-
-    ``u_prev`` and ``u_curr`` are the levels ``level - 1`` and ``level``,
-    ``v_prev`` and ``v_curr`` their antiderivatives (``cumtrapz``), and
-    ``lam2`` the squared Courant factor of the step to ``level + 1``. One
-    kernel pass takes that step and computes the diagnostics. Returns the
-    record, the reconstruction error and the pass, which holds the next
-    level, its antiderivative and the extent of ``u_curr``. Raises
-    BlowUpError naming step ``level + 1`` when that step is not finite,
-    before the profile is evaluated.
-    """
-    snap = snapshot_pass(u_prev, u_curr, v_prev, v_curr, grid.h, grid.dt, lam2=lam2)
-    if not snap.finite:
-        raise BlowUpError(level + 1)
-    t = level * grid.dt
-    a_t, ap_t = evaluate(profile, t)
-    return (*_record(t, snap, a_t, ap_t), snap)
+def snapshot_record(t, norms, profile: CoefficientProfile):
+    """The record and reconstruction error at ``t`` from a snapshot pass's norms."""
+    return _record(t, norms, profile)
 
 
 def energy_identity_residual(series: DiagnosticSeries):

@@ -36,6 +36,17 @@ def trapz_sq(f: np.ndarray, h: float) -> float:
     return float(h * (s - 0.5 * f[0] * f[0] - 0.5 * f[-1] * f[-1]))
 
 
+def snapshot_norms(u, v, u_t, v_t, h: float) -> list:
+    """trapz_sq of u, D u, D v, D v - u, u_t and v_t, with no overflow warning.
+
+    A snapshot's six squared norms: ``v`` is the antiderivative of ``u``,
+    ``D`` the centered difference and ``u_t``, ``v_t`` the time derivatives.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = centered_diff(v, h)
+        return [trapz_sq(f, h) for f in (u, centered_diff(u, h), dv, dv - u, u_t, v_t)]
+
+
 def trapz(f: np.ndarray, h: float) -> float:
     s = float(np.sum(f))
     return float(h * (s - 0.5 * f[0] - 0.5 * f[-1]))
@@ -47,6 +58,14 @@ def cumtrapz(f: np.ndarray, h: float) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(0.5 * h * (f[1:] + f[:-1]), out=out[1:])
     return out
+
+
+def nonzero_extent(mask: np.ndarray):
+    """The first and last index where ``mask`` is true, or (n, -1) when none is."""
+    first = int(mask.argmax())
+    if not mask[first]:
+        return mask.size, -1
+    return first, mask.size - 1 - int(mask[::-1].argmax())
 
 
 def centered_diff(f: np.ndarray, h: float) -> np.ndarray:

@@ -76,20 +76,18 @@ def load(path) -> Backend:
         k = lam2.size % 3
         return ring[k], ring[(k + 1) % 3]
 
-    def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2=None, u_next=None):
+    def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2):
         """One snapshot's step, antiderivative and six norms in C; see the reference backend."""
-        (u_prev, u_curr, v_prev, v_curr, u_next), lam2 = checked_snapshot(
-            u_prev, u_curr, v_prev, v_curr, lam2, u_next
+        u_prev, u_curr, v_prev, v_curr, lam2 = checked_snapshot(
+            u_prev, u_curr, v_prev, v_curr, lam2
         )
-        if lam2 is not None:
-            u_next = np.empty_like(u_curr)
-        v_next = np.empty_like(u_curr)
+        u_next, v_next = np.empty_like(u_curr), np.empty_like(u_curr)
         norms = np.empty(6)
         info = np.empty(3, dtype=np.intp)
         c_pass(
             u_prev.ctypes.data, u_curr.ctypes.data, u_next.ctypes.data,
             v_prev.ctypes.data, v_curr.ctypes.data, v_next.ctypes.data, v_next.size,
-            None if lam2 is None else lam2.ctypes.data, h, dt,
+            lam2.ctypes.data, h, dt,
             norms.ctypes.data, info.ctypes.data,
         )
         finite, first, last = info.tolist()

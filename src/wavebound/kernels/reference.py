@@ -11,13 +11,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wavebound.grids import centered_diff, cumtrapz, trapz_sq
+from wavebound.grids import cumtrapz, nonzero_extent, snapshot_norms
 
 
 class Snapshot(NamedTuple):
     """What one snapshot pass returns."""
 
-    # the level after the snapshot: the step taken, or the level given
+    # the level after the snapshot, the step taken
     u_next: np.ndarray
     # its cumulative trapezoid
     v_next: np.ndarray
@@ -77,31 +77,16 @@ def checked_arrays(u_prev, u_curr, lam2, right):
     return u_prev, u_curr, lam2, right
 
 
-def checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2, u_next):
+def checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2):
     """The snapshot pass's levels and its step's factor as float64 arrays, or ValueError.
 
-    Exactly one of ``lam2``, the squared Courant factor of the step to the
-    next level, and ``u_next``, the next level itself, is given. Returns the
-    levels ``(u_prev, u_curr, v_prev, v_curr, u_next)`` and ``lam2`` as a
-    one-value array; the one not given stays None.
+    ``lam2``, the squared Courant factor of the step, becomes a one-value array.
     """
-    if (lam2 is None) == (u_next is None):
-        raise ValueError("the snapshot pass takes exactly one of lam2 and u_next")
-    levels = dict(u_prev=u_prev, u_curr=u_curr, v_prev=v_prev, v_curr=v_curr)
-    if lam2 is not None:
-        lam2 = checked_lam2(np.ravel(lam2))
-        if lam2.size != 1:
-            raise ValueError(f"the snapshot pass takes one lam2, got {lam2.size}")
-        return (*checked_levels(**levels), None), lam2
-    return tuple(checked_levels(**levels, u_next=u_next)), None
-
-
-def _extent(mask):
-    """The first and last index where ``mask`` is true, or (n, -1) when none is."""
-    first = int(mask.argmax())
-    if not mask[first]:
-        return mask.size, -1
-    return first, mask.size - 1 - int(mask[::-1].argmax())
+    lam2 = checked_lam2(np.ravel(lam2))
+    if lam2.size != 1:
+        raise ValueError(f"the snapshot pass takes one lam2, got {lam2.size}")
+    levels = checked_levels(u_prev=u_prev, u_curr=u_curr, v_prev=v_prev, v_curr=v_curr)
+    return (*levels, lam2)
 
 
 def _live_band(u_prev, u_curr, right):
@@ -110,7 +95,7 @@ def _live_band(u_prev, u_curr, right):
     With ``right`` given the right edge counts as live. With nothing live it
     is (n, -1), an empty band.
     """
-    lo, hi = _extent((u_prev.view(np.uint64) | u_curr.view(np.uint64)) != 0)
+    lo, hi = nonzero_extent((u_prev.view(np.uint64) | u_curr.view(np.uint64)) != 0)
     if right is not None:
         hi = u_curr.size - 1
         lo = min(lo, hi)
@@ -175,39 +160,25 @@ def advance_steps(u_prev, u_curr, lam2, right=None):
     return ring[k], ring[(k + 1) % 3]
 
 
-def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2=None, u_next=None):
+def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2):
     """One snapshot's step, antiderivative and squared trapezoid norms.
 
-    With ``lam2`` the pass first takes the full-width step from
-    ``(u_prev, u_curr)`` to ``u_next`` at that squared Courant factor, with
-    zero edges; otherwise ``u_next`` is the given next level. Returns a
-    :class:`Snapshot`: ``u_next``; ``v_next``, its cumulative trapezoid; the
-    six norms ``trapz_sq(f, h)`` for ``f`` = ``u_curr``, ``D u_curr``,
-    ``D v_curr``, ``D v_curr - u_curr``, ``u_t`` and ``v_t``, where ``D`` is
-    the centered difference and the time derivatives are centered across
-    the three levels; whether ``u_next`` is finite; and the extent of
-    ``u_curr``'s nonzero values. The inputs are never written.
+    The pass takes the full-width step from ``(u_prev, u_curr)`` to
+    ``u_next`` at the squared Courant factor ``lam2``, with zero edges.
+    Returns a :class:`Snapshot`: ``u_next``; ``v_next``, its cumulative
+    trapezoid; the six norms of ``grids.snapshot_norms`` of ``u_curr`` and
+    ``v_curr``, with the time derivatives centered across the three levels;
+    whether ``u_next`` is finite; and the extent of ``u_curr``'s nonzero
+    values. The inputs are never written.
     """
-    (u_prev, u_curr, v_prev, v_curr, u_next), lam2 = checked_snapshot(
-        u_prev, u_curr, v_prev, v_curr, lam2, u_next
-    )
+    u_prev, u_curr, v_prev, v_curr, lam2 = checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2)
+    n = u_curr.size
+    u_next = np.zeros_like(u_curr)
     with np.errstate(over="ignore", invalid="ignore"):
-        if lam2 is not None:
-            n = u_curr.size
-            u_next = np.empty_like(u_curr)
-            _step(u_next, u_prev, u_curr, lam2[0], np.empty(n - 2), 1, n - 1)
-            u_next[0] = 0.0
-            u_next[-1] = 0.0
+        _step(u_next, u_prev, u_curr, lam2[0], np.empty(n - 2), 1, n - 1)
         v_next = cumtrapz(u_next, h)
-        dv = centered_diff(v_curr, h)
-        fields = (
-            u_curr,
-            centered_diff(u_curr, h),
-            dv,
-            dv - u_curr,
-            (u_next - u_prev) / (2.0 * dt),
-            (v_next - v_prev) / (2.0 * dt),
-        )
-        norms = [trapz_sq(f, h) for f in fields]
+        u_t = (u_next - u_prev) / (2.0 * dt)
+        v_t = (v_next - v_prev) / (2.0 * dt)
+    norms = snapshot_norms(u_curr, v_curr, u_t, v_t, h)
     finite = bool(np.all(np.isfinite(u_next)))
-    return Snapshot(u_next, v_next, norms, finite, _extent(u_curr != 0.0))
+    return Snapshot(u_next, v_next, norms, finite, nonzero_extent(u_curr != 0.0))

@@ -182,25 +182,22 @@ static int all_finite(const double *x, ptrdiff_t n)
     return !bad;
 }
 
-/* One snapshot in one pass over n >= 3 nodes. When lam is not NULL, un is
-   first written with the full-width step from (up, uc) at lam[0], edge
-   values 0; when it is NULL, un is the given next level and is only read.
-   vn becomes the cumulative trapezoid of un (np.cumsum: the first term
-   copied, then sequential adds), and norms[s] the composite trapezoid of
-   the s-th square listed at squares(), from its numpy sum as
-   grids.trapz_sq computes it. info[0] is 1 when un is finite, else 0;
-   info[1] and info[2] are the first and last node where uc != 0.0 (NaN
-   counts, -0.0 does not), or n and -1 when there is none. */
+/* One snapshot in one pass over n >= 3 nodes. un is written with the
+   full-width step from (up, uc) at lam[0], edge values 0, and vn with its
+   cumulative trapezoid (np.cumsum: the first term copied, then sequential
+   adds); norms[s] becomes the composite trapezoid of the s-th square listed
+   at squares(), from its numpy sum as grids.trapz_sq computes it. info[0]
+   is 1 when un is finite, else 0; info[1] and info[2] are the first and
+   last node where uc != 0.0 (NaN counts, -0.0 does not), or n and -1 when
+   there is none. */
 void snapshot_pass(const double *up, const double *uc, double *un,
                    const double *vp, const double *vc, double *vn, ptrdiff_t n,
                    const double *lam, double h, double dt, double *norms,
                    ptrdiff_t *info)
 {
-    if (lam) {
-        step(un, up, uc, 1, n - 1, *lam);
-        un[0] = 0.0;
-        un[n - 1] = 0.0;
-    }
+    step(un, up, uc, 1, n - 1, *lam);
+    un[0] = 0.0;
+    un[n - 1] = 0.0;
     info[0] = all_finite(un, n);
     ptrdiff_t first = 0, last = n - 1;
     while (first < n && uc[first] == 0.0)

@@ -12,7 +12,8 @@ is built, by the rules in ``config.py`` that ``init_grid`` also applies.
 initial levels and the squared Courant factors; ``first_step`` makes the
 Taylor start; ``advance`` steps the field and names the first step that
 left it non-finite. ``run`` adds the snapshot diagnostics and
-``evolve_final`` returns only the field at t_end.
+``evolve_final`` returns only the field at t_end. Every step is taken and
+checked here; ``analysis`` only builds the records.
 
 The kernel steps only the live band: the nodes where either level has a
 nonzero bit pattern, widened by one node per step. Outside it the full
@@ -26,10 +27,11 @@ the snapshot's kernel pass takes the step to the level after it, reports
 whether that level is finite and the extent of the snapshot level's
 nonzero values, and integrates the new level; the run keeps the two latest
 antiderivatives by level for the next snapshot. The final snapshot steps
-once past t_end, checked like every other step. The kernel never writes
-into the levels it is given, so no level is copied before a step. An
-optional cross-check also evolves the antiderivative field with the same
-stencil from its own initial data and compares.
+once past t_end, checked like every other step; the record at t = 0 is
+computed from its definition. The kernel never writes into the levels it
+is given, so no level is copied before a step. An optional cross-check also
+evolves the antiderivative field with the same stencil from its own
+initial data, to each snapshot only, and compares.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from wavebound import analysis
 from wavebound.coefficients import CoefficientProfile, get_profile
 from wavebound.config import ExperimentConfig, check_grid
 from wavebound.errors import BlowUpError, CapacityError, ConfigError
-from wavebound.grids import GridSpec, cumtrapz, second_diff, trapz, trapz_sq
+from wavebound.grids import GridSpec, cumtrapz, nonzero_extent, second_diff, trapz, trapz_sq
 from wavebound.initial_data import InitialData, get_data
-from wavebound.kernels import advance_steps
+from wavebound.kernels import advance_steps, snapshot_pass
 
 # extra cells between the cone after the final step and the boundary
 _CONE_PAD = 2
@@ -170,7 +172,9 @@ def advance(u_prev: np.ndarray, u_curr: np.ndarray, lam2: np.ndarray, level: int
     the first level that is not finite.
     """
     new_prev, new_curr = advance_steps(u_prev, u_curr, lam2)
-    if np.all(np.isfinite(new_curr)) and np.all(np.isfinite(new_prev)):
+    # a non-finite value persists through the stencil, into its own node or,
+    # from an edge, the next one: checking the last level checks them all
+    if np.all(np.isfinite(new_curr)):
         return new_prev, new_curr
     bad = level + len(lam2)
     a, b = u_prev, u_curr
@@ -199,9 +203,9 @@ def run(
     antiderivatives (cumulative trapezoids) are used for centered time
     differences, and the cone containment is verified to be machine-exact.
     The step to the level after a snapshot is taken in the snapshot's
-    kernel pass, and a snapshot one or two levels later reuses the
-    antiderivatives already taken. Identical configs produce bit-identical
-    series.
+    kernel pass; BlowUpError names it when it is not finite. A snapshot one
+    or two levels later reuses the antiderivatives already taken. Identical
+    configs produce bit-identical series.
     """
     profile, data, grid, u0, u1, lam2 = _resolve(config)
 
@@ -212,14 +216,13 @@ def run(
             records=[], profile=profile, data=data, grid=grid
         )
         v0 = cumtrapz(u0, grid.h)
-        rec0, recon0, snap0 = analysis.initial_record(u0, u1, v0, profile, grid)
-        series.append(rec0, recon0)
-        series.cone_ok &= _cone_exact(snap0.extent, data, grid, level=0)
+        series.append(*analysis.initial_record(u0, u1, v0, profile, grid))
+        series.cone_ok &= _cone_exact(nonzero_extent(u0 != 0.0), data, grid, level=0)
         if archive:
             _write_archive_record(archive, 0.0, u0)
 
         u_prev, u_curr = u0, first_step(u0, u1, profile.a0, grid)
-        dual = _DualVState(u0, u1, v0, profile.a0, grid) if dual_v_check else None
+        dual = _DualVState(u0, u1, v0, profile.a0, grid, lam2) if dual_v_check else None
 
         level = 1
         # antiderivatives already taken that the next snapshot may reuse
@@ -228,8 +231,6 @@ def run(
             target = int(target)
             if target > level:
                 u_prev, u_curr = advance(u_prev, u_curr, lam2[level:target], level)
-                if dual is not None:
-                    dual.advance(level, target, lam2)
                 level = target
             if archive:
                 _write_archive_record(archive, level * grid.dt, u_curr)
@@ -238,14 +239,12 @@ def run(
                 for k, u in ((level - 1, u_prev), (level, u_curr))
             )
             if dual is not None:
-                dual.compare(v_curr)
-            rec, recon, snap = analysis.snapshot_record(
-                level, u_prev, u_curr, v_prev, v_curr, lam2[level], profile, grid
-            )
+                dual.compare(level, v_curr)
+            snap = snapshot_pass(u_prev, u_curr, v_prev, v_curr, grid.h, grid.dt, lam2[level])
+            if not snap.finite:
+                raise BlowUpError(level + 1)
             series.cone_ok &= _cone_exact(snap.extent, data, grid, level=level)
-            if dual is not None:
-                dual.advance(level, level + 1, lam2)
-            series.append(rec, recon)
+            series.append(*analysis.snapshot_record(level * grid.dt, snap.norms, profile))
             v_by_level = {level: v_curr, level + 1: snap.v_next}
             u_prev, u_curr = u_curr, snap.u_next
             level += 1
@@ -295,29 +294,31 @@ class _DualVState:
     far field is constant in space, so the exact right boundary value is the
     total mass of u, which grows linearly in time when the velocity moment
     does not vanish. Comparing against the cumulative trapezoid of u at
-    snapshots exercises the reconstruction structure end to end.
+    snapshots exercises the reconstruction structure end to end. The field
+    is stepped only to the snapshots it is compared at.
     """
 
-    def __init__(self, u0, u1, v0, a0, grid):
+    def __init__(self, u0, u1, v0, a0, grid, lam2):
         self.grid = grid
+        self.lam2 = lam2
         v1 = cumtrapz(u1, grid.h)
         self.mass0 = trapz(u0, grid.h)
         self.c0 = trapz(u1, grid.h)
+        self.level = 1
         self.v_prev = v0
         self.v_curr = first_step(v0, v1, a0, grid)
         self.v_curr[-1] = self.mass0 + grid.dt * self.c0
         self.max_rel_err = 0.0
 
-    def advance(self, level_from: int, level_to: int, lam2: np.ndarray):
-        grid = self.grid
-        steps = np.arange(level_from, level_to)
-        right = self.mass0 + (steps + 1) * grid.dt * self.c0
-        self.v_prev, self.v_curr = advance_steps(
-            self.v_prev, self.v_curr, lam2[level_from:level_to], right
-        )
-
-    def compare(self, v_ref: np.ndarray):
-        """Record the error against ``v_ref``, the cumulative trapezoid of u."""
+    def compare(self, level: int, v_ref: np.ndarray):
+        """Step to ``level`` and record the error against ``v_ref``, the antiderivative of u."""
+        if level > self.level:
+            steps = np.arange(self.level, level)
+            right = self.mass0 + (steps + 1) * self.grid.dt * self.c0
+            self.v_prev, self.v_curr = advance_steps(
+                self.v_prev, self.v_curr, self.lam2[self.level : level], right
+            )
+            self.level = level
         diff = math.sqrt(trapz_sq(self.v_curr - v_ref, self.grid.h))
         scale = max(1.0, math.sqrt(trapz_sq(v_ref, self.grid.h)))
         self.max_rel_err = max(self.max_rel_err, diff / scale)

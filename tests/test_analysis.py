@@ -68,7 +68,7 @@ def test_energy_u_zero_state():
     grid = solver.init_grid(data, prof, 1.0, n_points=501)
     u0 = np.asarray(data.u0(grid.x), dtype=float)
     v0 = cumtrapz(u0, grid.h)
-    rec, _, _ = analysis.initial_record(u0, np.zeros_like(u0), v0, prof, grid)
+    rec, _ = analysis.initial_record(u0, np.zeros_like(u0), v0, prof, grid)
     assert rec.E_u == 0.0
 
 
@@ -78,7 +78,7 @@ def test_energy_u_initial_bump_is_half_gradient_norm():
     grid = solver.init_grid(data, prof, 1.0, n_points=4001)
     u0 = np.asarray(data.u0(grid.x), dtype=float)
     v0 = cumtrapz(u0, grid.h)
-    rec, _, _ = analysis.initial_record(u0, np.zeros_like(u0), v0, prof, grid)  # at rest
+    rec, _ = analysis.initial_record(u0, np.zeros_like(u0), v0, prof, grid)  # at rest
     assert rec.E_u == pytest.approx(0.5 * bump_constants()["prime_l2_sq"], rel=1e-3)
 
 

@@ -628,17 +628,33 @@ def test_dense_snapshot_series_csv_is_byte_identical(tmp_path, capsys, snapshots
     assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == digest
 
 
-def test_dense_dual_v_errors_are_unchanged(tmp_path, capsys):
-    # one snapshot per step; values recorded with the earlier snapshot loop
+# values recorded with the earlier snapshot loop, which stepped the dual field
+# to each snapshot and one step past it: one snapshot per step, and 333
+# snapshots of scaled, shifted data, whose gaps of one and two steps the dual
+# field now takes in one call each
+@pytest.mark.parametrize(
+    "data,extra,dual_err,recon_err",
+    [
+        ("odd-velocity", ("--snapshots", "100000"), 3.217879147580317e-14, 0.00047262584574012513),
+        (
+            "bump",
+            ("--snapshots", "333", "--data-scale", "1.37", "--data-shift", "0.21"),
+            3.291093532244788e-13,
+            0.009919934870972782,
+        ),
+    ],
+    ids=["one-per-step", "mixed-gaps"],
+)
+def test_dense_dual_v_errors_are_unchanged(tmp_path, capsys, data, extra, dual_err, recon_err):
     out = tmp_path / "dual"
     code = run_cli(
-        "verify", "--profile", "example3", "--data", "odd-velocity", "--t-end", "20",
-        "--n-points", "1001", "--snapshots", "100000", "--dual-v", "--out", str(out),
+        "verify", "--profile", "example3", "--data", data, "--t-end", "20",
+        "--n-points", "1001", *extra, "--dual-v", "--out", str(out),
     )
     assert code == 0
     checks = json.loads((out / "verify.json").read_text())["checks"]
-    assert checks["dual_v"]["max_rel_err"] == 3.217879147580317e-14
-    assert checks["reconstruction"]["max_rel_err"] == 0.00047262584574012513
+    assert checks["dual_v"]["max_rel_err"] == dual_err
+    assert checks["reconstruction"]["max_rel_err"] == recon_err
 
 
 # sha256 of each JSON output of one small job, with the output directory and

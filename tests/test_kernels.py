@@ -117,9 +117,9 @@ def snapshot_field(rng, size, scale):
 
 # lengths cross numpy's pairwise-sum boundaries at 8 and 128 terms, and 8001
 # is a grid size; scales reach subnormal squares and squares that overflow;
-# the pass either takes its step or is given the next level, the current
-# level may have +0.0 margins or be all +0.0, and a non-finite value may sit
-# in the current level and the given next one
+# the step's factor may overflow it, the current level may have +0.0 margins
+# or be all +0.0, and a non-finite value may sit in the current level and
+# the previous one
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.one_of(st.integers(3, 300), st.just(8001)),
@@ -127,7 +127,7 @@ def snapshot_field(rng, size, scale):
     scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e150, 1e160]),
     h=st.floats(1e-4, 10.0),
     dt=st.floats(1e-4, 10.0),
-    lam2=st.one_of(st.none(), st.floats(-2.0, 2.0), st.just(1e300)),
+    lam2=st.one_of(st.floats(-2.0, 2.0), st.just(1e300)),
     special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
     current=st.sampled_from(["drawn", "margins", "zeros"]),
 )
@@ -135,7 +135,7 @@ def test_snapshot_pass_agrees_bit_for_bit(
     compiled_backend, n, seed, scale, h, dt, lam2, special, current
 ):
     rng = np.random.default_rng(seed)
-    u_prev, u_curr, u_next, v_prev, v_curr = (snapshot_field(rng, n, scale) for _ in range(5))
+    u_prev, u_curr, v_prev, v_curr = (snapshot_field(rng, n, scale) for _ in range(4))
     if current == "margins":
         lo, hi = np.sort(rng.integers(0, n, 2))
         u_curr[:lo] = 0.0
@@ -144,24 +144,22 @@ def test_snapshot_pass_agrees_bit_for_bit(
         u_curr[:] = 0.0
     if special is not None:
         u_curr[rng.integers(0, n)] = special
-        u_next[rng.integers(0, n)] = special
-    given_next = {"u_next": u_next} if lam2 is None else {"lam2": lam2}
+        u_prev[rng.integers(0, n)] = special
     levels = (u_prev, u_curr, v_prev, v_curr)
-    before = [bits(f).copy() for f in levels + (u_next,)]
-    want = reference.snapshot_pass(*levels, h, dt, **given_next)
-    got = compiled_backend.snapshot_pass(*levels, h, dt, **given_next)
+    before = [bits(f).copy() for f in levels]
+    want = reference.snapshot_pass(*levels, h, dt, lam2)
+    got = compiled_backend.snapshot_pass(*levels, h, dt, lam2)
     for w, g in zip(want[:3], got[:3]):
         assert np.array_equal(value_bits(w), value_bits(g))
     assert want.finite is got.finite is bool(np.all(np.isfinite(want.u_next)))
     nonzero = np.flatnonzero(u_curr != 0.0)
     extent = (nonzero[0], nonzero[-1]) if nonzero.size else (n, -1)
     assert want.extent == got.extent == extent
-    for f, was in zip(levels + (u_next,), before):
+    for f, was in zip(levels, before):
         assert np.array_equal(bits(f), was)
-    if lam2 is not None:
-        # the pass's step is the stepping kernel's step
-        _, stepped = reference.advance_steps(u_prev, u_curr, [lam2])
-        assert np.array_equal(value_bits(got.u_next), value_bits(stepped))
+    # the pass's step is the stepping kernel's step
+    _, stepped = reference.advance_steps(u_prev, u_curr, [lam2])
+    assert np.array_equal(value_bits(got.u_next), value_bits(stepped))
 
 
 def test_reference_backend_is_silent_on_overflow():
@@ -173,9 +171,10 @@ def test_reference_backend_is_silent_on_overflow():
         # 2 u overflows in the step, the squares of the fields in the snapshot pass
         big = np.full(51, 1e308)
         _, stepped = reference.advance_steps(big, big, np.full(3, 0.8))
-        snap_step = reference.snapshot_pass(big, big, big, big, 0.04, 0.03, lam2=0.8)
+        snap_step = reference.snapshot_pass(big, big, big, big, 0.04, 0.03, 0.8)
+        # a finite step whose levels' squares overflow
         levels = [0.5e160 * u, 1e160 * u, 0.5e160 * v, 1e160 * v]
-        snap = reference.snapshot_pass(*levels, 0.04, 0.03, u_next=1.5e160 * u)
+        snap = reference.snapshot_pass(*levels, 0.04, 0.03, 0.8)
     assert not np.all(np.isfinite(stepped))
     assert not snap_step.finite
     assert snap.finite
@@ -193,15 +192,11 @@ def test_snapshot_pass_rejects_bad_arguments(pass_backend):
     levels = [np.zeros(50)] * 3 + [np.zeros(49)]
     with pytest.raises(ValueError, match="u_prev has 50 nodes but v_curr has 49"):
         pass_backend(*levels, 0.1, 0.1, lam2=0.5)
-    with pytest.raises(ValueError, match="u_prev has 50 nodes but u_next has 49"):
-        pass_backend(*[np.zeros(50)] * 4, 0.1, 0.1, u_next=np.zeros(49))
+    with pytest.raises(ValueError, match="u_prev has 50 nodes but u_curr has 49"):
+        pass_backend(np.zeros(50), np.zeros(49), np.zeros(50), np.zeros(50), 0.1, 0.1, 0.5)
     with pytest.raises(ValueError, match="at least 3 nodes"):
         pass_backend(*[np.zeros(2)] * 4, 0.1, 0.1, lam2=0.5)
     levels = [np.zeros(50)] * 4
-    with pytest.raises(ValueError, match="exactly one of lam2 and u_next"):
-        pass_backend(*levels, 0.1, 0.1)
-    with pytest.raises(ValueError, match="exactly one of lam2 and u_next"):
-        pass_backend(*levels, 0.1, 0.1, lam2=0.5, u_next=np.zeros(50))
     with pytest.raises(ValueError, match="takes one lam2, got 0"):
         pass_backend(*levels, 0.1, 0.1, lam2=[])
     for bad in (np.inf, -np.inf, np.nan):

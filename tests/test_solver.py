@@ -11,7 +11,7 @@ from wavebound import analysis, solver
 from wavebound.config import ExperimentConfig
 from wavebound.coefficients import get_profile
 from wavebound.errors import BlowUpError, CapacityError, ConfigError, ProfileError
-from wavebound.grids import GridSpec, cumtrapz, second_diff
+from wavebound.grids import GridSpec, cumtrapz, nonzero_extent, second_diff
 from wavebound.initial_data import get_data
 from wavebound.kernels import advance_steps, snapshot_pass
 from wavebound.oracles import convergence_order, dalembert
@@ -251,17 +251,17 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         integrals.append(1)
         return cumtrapz(f, h)
 
-    def counting_pass(*args, **kwargs):
-        # the snapshot's kernel pass integrates its next level, and steps to
-        # it unless it is given it (the record at t = 0)
+    def counting_pass(*args):
+        # the snapshot's kernel pass steps to its next level and integrates it
         integrals.append(1)
-        if kwargs.get("lam2") is not None:
-            steps.append(1)
-        return snapshot_pass(*args, **kwargs)
+        steps.append(1)
+        return snapshot_pass(*args)
 
     monkeypatch.setattr(solver, "advance_steps", counting_steps)
     monkeypatch.setattr(solver, "cumtrapz", counting_cumtrapz)
-    monkeypatch.setattr(analysis, "snapshot_pass", counting_pass)
+    # the record at t = 0 integrates the initial velocity
+    monkeypatch.setattr(analysis, "cumtrapz", counting_cumtrapz)
+    monkeypatch.setattr(solver, "snapshot_pass", counting_pass)
     cfg = ExperimentConfig(profile="example3", data="bump", t_end=5.0, n_points=501, snapshots=snapshots)
     series = solver.run(cfg)
     n_steps = series.grid.n_steps
@@ -275,12 +275,31 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         assert len(integrals) == n_steps + 3
 
 
+@pytest.mark.parametrize("snapshots", [2, 7, 114, 100000])
+def test_dual_field_takes_no_step_past_the_last_snapshot(monkeypatch, snapshots):
+    dual_steps = []
+
+    def counting_steps(u_prev, u_curr, lam2, right=None):
+        # only the dual field's calls give a right edge value
+        if right is not None:
+            dual_steps.append(len(lam2))
+        return advance_steps(u_prev, u_curr, lam2, right)
+
+    monkeypatch.setattr(solver, "advance_steps", counting_steps)
+    cfg = ExperimentConfig(profile="example3", data="bump", t_end=5.0, n_points=501, snapshots=snapshots)
+    series = solver.run(cfg, dual_v_check=True)
+    # the Taylor start makes level 1; the kernel steps it to level n_steps,
+    # the last snapshot, in at most one call per snapshot
+    assert sum(dual_steps) == series.grid.n_steps - 1
+    assert len(dual_steps) <= len(series.records) - 1
+    assert series.dual_v_max_rel_err < 1e-9
+
+
 def poison_steps(monkeypatch, healthy_calls):
     """Make every stepping call after the first ``healthy_calls`` give a non-finite level.
 
     The calls are the kernel's and the snapshot passes' steps, counted
-    together in the returned list; the pass of the record at t = 0 takes no
-    step and is not counted.
+    together in the returned list; the record at t = 0 takes no step.
     """
     calls = []
 
@@ -289,16 +308,15 @@ def poison_steps(monkeypatch, healthy_calls):
         new_prev, new_curr = advance_steps(u_prev, u_curr, lam2, *edges)
         return new_prev, new_curr if len(calls) <= healthy_calls else new_curr * np.nan
 
-    def poisoned_pass(u_prev, u_curr, *args, lam2=None, u_next=None):
-        if lam2 is not None:
-            calls.append(1)
-            if len(calls) > healthy_calls:
-                # the pass steps from a non-finite level to a non-finite one
-                u_curr = u_curr * np.nan
-        return snapshot_pass(u_prev, u_curr, *args, lam2=lam2, u_next=u_next)
+    def poisoned_pass(u_prev, u_curr, *args):
+        calls.append(1)
+        if len(calls) > healthy_calls:
+            # the pass steps from a non-finite level to a non-finite one
+            u_curr = u_curr * np.nan
+        return snapshot_pass(u_prev, u_curr, *args)
 
     monkeypatch.setattr(solver, "advance_steps", poisoned_steps)
-    monkeypatch.setattr(analysis, "snapshot_pass", poisoned_pass)
+    monkeypatch.setattr(solver, "snapshot_pass", poisoned_pass)
     return calls
 
 
@@ -321,7 +339,7 @@ def test_blow_up_on_a_snapshots_own_step_names_that_step(monkeypatch, request, k
     if kernel == "compiled":
         backend = request.getfixturevalue("compiled_backend")
         monkeypatch.setattr(solver, "advance_steps", backend.advance_steps)
-        monkeypatch.setattr(analysis, "snapshot_pass", backend.snapshot_pass)
+        monkeypatch.setattr(solver, "snapshot_pass", backend.snapshot_pass)
     cfg = ExperimentConfig(
         profile="const:1", data="bump", data_scale=1e4, t_end=1.0, n_points=501, snapshots=5
     )
@@ -340,9 +358,9 @@ def test_blow_up_on_a_snapshots_own_step_names_that_step(monkeypatch, request, k
     assert info.value.step_index == level + 1
 
 
-def _extent(u):
-    """The field's nonzero extent, as the snapshot pass reports it."""
-    return snapshot_pass(u, u, u, u, 1.0, 1.0, u_next=u).extent
+def _extents(u):
+    """The field's nonzero extent, as the snapshot pass and the t = 0 check find it."""
+    return snapshot_pass(u, u, u, u, 1.0, 1.0, 0.0).extent, nonzero_extent(u != 0.0)
 
 
 def _cone_by_mask(u, x, r, level, h):
@@ -375,10 +393,29 @@ def test_cone_check_matches_mask_definition(n, h, r_cells, level, fill, at_cut):
         cut = int(np.searchsorted(grid.x, thr)) + at_cut
         if 0 <= cut < n:
             u[cut] = 1.0
-    want = _cone_by_mask(u, grid.x, r, level, h)
-    assert solver._cone_exact(_extent(u), data, grid, level=level) is want
-    flipped = -u[::-1]
-    assert solver._cone_exact(_extent(flipped), data, grid, level=level) is _cone_by_mask(flipped, grid.x, r, level, h)
+    for f in (u, -u[::-1]):
+        want = _cone_by_mask(f, grid.x, r, level, h)
+        for extent in _extents(f):
+            assert solver._cone_exact(extent, data, grid, level=level) is want
+
+
+def test_cone_check_sees_every_snapshot_level(monkeypatch):
+    # the record at t = 0 takes no pass: its check reads u0's extent directly
+    checked = []
+    cone_exact = solver._cone_exact
+
+    def recording(extent, data, grid, level):
+        checked.append((level, tuple(extent)))
+        return cone_exact(extent, data, grid, level)
+
+    monkeypatch.setattr(solver, "_cone_exact", recording)
+    cfg = ExperimentConfig(profile="const:1", data="bump", t_end=1.0, n_points=501, snapshots=5)
+    series = solver.run(cfg)
+    grid = series.grid
+    nonzero = np.flatnonzero(np.asarray(get_data("bump").u0(grid.x)) != 0.0)
+    assert checked[0] == (0, (nonzero[0], nonzero[-1]))
+    assert [level for level, _ in checked] == list(solver._snapshot_levels(grid.n_steps, 5))
+    assert series.cone_ok
 
 
 def test_snapshot_archive_format(tmp_path):
