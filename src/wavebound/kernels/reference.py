@@ -14,20 +14,26 @@ import numpy as np
 from wavebound.grids import cumtrapz, nonzero_extent, snapshot_norms
 
 
-class Snapshot(NamedTuple):
-    """What one snapshot pass returns."""
+class Snapshots(NamedTuple):
+    """What one snapshot pass over k consecutive levels returns.
 
-    # the level after the snapshot, the step taken
-    u_next: np.ndarray
-    # its cumulative trapezoid
-    v_next: np.ndarray
-    # trapz_sq of u_curr, D u_curr, D v_curr, D v_curr - u_curr, u_t and v_t
-    norms: list
-    # whether u_next is finite; a non-finite value persists, so this covers u_curr
+    The pass takes m <= k levels: all k, or fewer when a step is not finite.
+    """
+
+    # m x 6: per level, trapz_sq of u_curr, D u_curr, D v_curr,
+    # D v_curr - u_curr, u_t and v_t
+    norms: np.ndarray
+    # m x 2: per level, the first and last node where u_curr != 0.0 (NaN
+    # counts, -0.0 does not), or (n, -1) when there is none
+    extents: np.ndarray
+    # whether the last step taken is finite; a non-finite value persists,
+    # so this covers every level after it
     finite: bool
-    # the first and last node where u_curr != 0.0 (NaN counts, -0.0 does
-    # not), or (n, -1) when there is none
-    extent: tuple
+    # the last two levels and their antiderivatives, to continue from
+    u_prev: np.ndarray
+    u_curr: np.ndarray
+    v_prev: np.ndarray
+    v_curr: np.ndarray
 
 
 def checked_levels(**levels):
@@ -78,13 +84,13 @@ def checked_arrays(u_prev, u_curr, lam2, right):
 
 
 def checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2):
-    """The snapshot pass's levels and its step's factor as float64 arrays, or ValueError.
+    """The snapshot pass's levels and its steps' factors as float64 arrays, or ValueError.
 
-    ``lam2``, the squared Courant factor of the step, becomes a one-value array.
+    ``lam2`` holds the squared Courant factor of each level's step, at least one.
     """
-    lam2 = checked_lam2(np.ravel(lam2))
-    if lam2.size != 1:
-        raise ValueError(f"the snapshot pass takes one lam2, got {lam2.size}")
+    lam2 = checked_lam2(lam2)
+    if lam2.size == 0:
+        raise ValueError("the snapshot pass takes at least one lam2, got 0")
     levels = checked_levels(u_prev=u_prev, u_curr=u_curr, v_prev=v_prev, v_curr=v_curr)
     return (*levels, lam2)
 
@@ -160,25 +166,44 @@ def advance_steps(u_prev, u_curr, lam2, right=None):
     return ring[k], ring[(k + 1) % 3]
 
 
-def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2):
-    """One snapshot's step, antiderivative and squared trapezoid norms.
-
-    The pass takes the full-width step from ``(u_prev, u_curr)`` to
-    ``u_next`` at the squared Courant factor ``lam2``, with zero edges.
-    Returns a :class:`Snapshot`: ``u_next``; ``v_next``, its cumulative
-    trapezoid; the six norms of ``grids.snapshot_norms`` of ``u_curr`` and
-    ``v_curr``, with the time derivatives centered across the three levels;
-    whether ``u_next`` is finite; and the extent of ``u_curr``'s nonzero
-    values. The inputs are never written.
-    """
-    u_prev, u_curr, v_prev, v_curr, lam2 = checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2)
+def _snapshot_level(u_prev, u_curr, v_prev, v_curr, h, dt, lam):
+    """One snapshot level: the full-width step, its antiderivative, norms, finiteness and extent."""
     n = u_curr.size
     u_next = np.zeros_like(u_curr)
     with np.errstate(over="ignore", invalid="ignore"):
-        _step(u_next, u_prev, u_curr, lam2[0], np.empty(n - 2), 1, n - 1)
+        _step(u_next, u_prev, u_curr, lam, np.empty(n - 2), 1, n - 1)
         v_next = cumtrapz(u_next, h)
         u_t = (u_next - u_prev) / (2.0 * dt)
         v_t = (v_next - v_prev) / (2.0 * dt)
     norms = snapshot_norms(u_curr, v_curr, u_t, v_t, h)
     finite = bool(np.all(np.isfinite(u_next)))
-    return Snapshot(u_next, v_next, norms, finite, nonzero_extent(u_curr != 0.0))
+    return u_next, v_next, norms, finite, nonzero_extent(u_curr != 0.0)
+
+
+def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2):
+    """k consecutive snapshot levels' steps, antiderivatives and squared trapezoid norms.
+
+    ``lam2`` holds k finite squared Courant factors. Of the levels
+    ``(u_prev, u_curr, next_0, next_1, ...)``, level i takes the full-width
+    step from the i-th and (i+1)-th to ``next_i`` at ``lam2[i]``, with zero
+    edges, and integrates it by cumulative trapezoid. Its snapshot is the
+    (i+1)-th level: the six norms of ``grids.snapshot_norms`` of it and its
+    antiderivative, with the time derivatives centered across the three
+    levels, and the extent of its nonzero values. The pass stops after the
+    first level whose step is not finite. Returns :class:`Snapshots`; the
+    inputs are never written.
+    """
+    u_prev, u_curr, v_prev, v_curr, lam2 = checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2)
+    norms, extents = [], []
+    for lam in lam2:
+        u_next, v_next, level_norms, finite, extent = _snapshot_level(
+            u_prev, u_curr, v_prev, v_curr, h, dt, lam
+        )
+        norms.append(level_norms)
+        extents.append(extent)
+        u_prev, u_curr, v_prev, v_curr = u_curr, u_next, v_curr, v_next
+        if not finite:
+            break
+    return Snapshots(
+        np.array(norms), np.array(extents, dtype=np.intp), finite, u_prev, u_curr, v_prev, v_curr
+    )

@@ -4,6 +4,7 @@
    same operations in the same order, divisions kept as divisions, and no
    fused multiply-add (setup.py builds it with -ffp-contract=off), so both
    backends give bit-identical results. */
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -182,30 +183,29 @@ static int all_finite(const double *x, ptrdiff_t n)
     return !bad;
 }
 
-/* One snapshot in one pass over n >= 3 nodes. un is written with the
-   full-width step from (up, uc) at lam[0], edge values 0, and vn with its
+/* One snapshot level in one pass over n >= 3 nodes. un is written with the
+   full-width step from (up, uc) at lam, edge values 0, and vn with its
    cumulative trapezoid (np.cumsum: the first term copied, then sequential
    adds); norms[s] becomes the composite trapezoid of the s-th square listed
-   at squares(), from its numpy sum as grids.trapz_sq computes it. info[0]
-   is 1 when un is finite, else 0; info[1] and info[2] are the first and
-   last node where uc != 0.0 (NaN counts, -0.0 does not), or n and -1 when
-   there is none. */
-void snapshot_pass(const double *up, const double *uc, double *un,
-                   const double *vp, const double *vc, double *vn, ptrdiff_t n,
-                   const double *lam, double h, double dt, double *norms,
-                   ptrdiff_t *info)
+   at squares(), from its numpy sum as grids.trapz_sq computes it.
+   extent[0] and extent[1] are the first and last node where uc != 0.0 (NaN
+   counts, -0.0 does not), or n and -1 when there is none. Returns 1 when un
+   is finite, else 0. */
+static int snapshot_level(const double *up, const double *uc, double *un,
+                          const double *vp, const double *vc, double *vn, ptrdiff_t n,
+                          double lam, double h, double dt, double *norms,
+                          ptrdiff_t *extent)
 {
-    step(un, up, uc, 1, n - 1, *lam);
+    step(un, up, uc, 1, n - 1, lam);
     un[0] = 0.0;
     un[n - 1] = 0.0;
-    info[0] = all_finite(un, n);
     ptrdiff_t first = 0, last = n - 1;
     while (first < n && uc[first] == 0.0)
         first++;
     while (last > first && uc[last] == 0.0)
         last--;
-    info[1] = first;
-    info[2] = first < n ? last : -1;
+    extent[0] = first;
+    extent[1] = first < n ? last : -1;
 
     double half_h = 0.5 * h;
     double acc = half_h * (un[1] + un[0]);
@@ -226,4 +226,36 @@ void snapshot_pass(const double *up, const double *uc, double *un,
                         (un[z] - up[z]) / f.two_dt, (vn[z] - vp[z]) / f.two_dt};
     for (int s = 0; s < NSUMS; s++)
         norms[s] = h * (((0.0 + res[s]) - 0.5 * e0[s] * e0[s]) - 0.5 * e1[s] * e1[s]);
+    /* a non-finite value in un makes the running sum non-finite from there
+       on, so a finite last antiderivative value means un is finite */
+    return isfinite(vn[n - 1]) || all_finite(un, n);
+}
+
+/* k >= 1 consecutive snapshot levels in one call. Of the levels
+   (up, uc, next_0, next_1, ...) and their antiderivatives (vp, vc, ...),
+   level i steps from the i-th and (i+1)-th to next_i at lam[i] and takes
+   the snapshot at the (i+1)-th, as snapshot_level does. The new levels
+   cycle through a ring in work: r = min(k, 3) levels of n nodes for u,
+   then r for v, next_i and its antiderivative in slot i % 3 of each; then
+   come the norms, six per level. Level i's extent is extents[2i], [2i + 1].
+   The inputs are never written. The pass stops after the first level whose
+   step is not finite and returns the number of levels whose step is: k
+   when every step is finite, else the index of the one that is not. */
+ptrdiff_t snapshot_levels(const double *up, const double *uc, const double *vp,
+                          const double *vc, ptrdiff_t n, const double *lam, ptrdiff_t k,
+                          double h, double dt, double *work, ptrdiff_t *extents)
+{
+    ptrdiff_t r = k < 3 ? k : 3;
+    double *u_ring = work, *v_ring = work + r * n, *norms = work + 2 * r * n;
+    for (ptrdiff_t i = 0; i < k; i++) {
+        double *un = u_ring + (i % 3) * n, *vn = v_ring + (i % 3) * n;
+        if (!snapshot_level(up, uc, un, vp, vc, vn, n, lam[i], h, dt, norms + NSUMS * i,
+                            extents + 2 * i))
+            return i;
+        up = uc;
+        uc = un;
+        vp = vc;
+        vc = vn;
+    }
+    return k;
 }

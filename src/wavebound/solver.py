@@ -26,10 +26,11 @@ trapezoid. Each field level is stepped once and integrated at most once:
 the snapshot's kernel pass takes the step to the level after it, reports
 whether that level is finite and the extent of the snapshot level's
 nonzero values, and integrates the new level; the run keeps the two latest
-antiderivatives by level for the next snapshot. The final snapshot steps
-once past t_end, checked like every other step; the record at t = 0 is
-computed from its definition. The kernel never writes into the levels it
-is given, so no level is copied before a step. An optional cross-check also
+antiderivatives by level for the next snapshot. Consecutive snapshot
+levels share one kernel pass, which steps from one to the next. The final
+snapshot steps once past t_end, checked like every other step; the record
+at t = 0 is computed from its definition. The kernel never writes into the
+levels it is given, so no level is copied before a step. An optional cross-check also
 evolves the antiderivative field with the same stencil from its own
 initial data, to each snapshot only, and compares.
 """
@@ -129,7 +130,8 @@ def _resolve(config: ExperimentConfig) -> _Experiment:
     """Build a config's profile, data, grid and Courant factors.
 
     The factors cover levels 0..n_steps: the final snapshot takes one extra
-    step past t_end for its centered time derivative.
+    step past t_end for its centered time derivative. Sampled initial data
+    that is not finite is a ConfigError naming the data scale.
     """
     profile = get_profile(config.profile)
     data = get_data(
@@ -144,14 +146,23 @@ def _resolve(config: ExperimentConfig) -> _Experiment:
             f"data_width {config.data_width} spans {config.data_width / grid.h:.3g} "
             f"grid cells, fewer than {MIN_DATA_CELLS}: raise n_points or the width"
         )
+    # a scale near the float maximum can overflow the samplers' products
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = np.asarray(data.u0(grid.x), dtype=float)
+        u1 = np.asarray(data.u1(grid.x), dtype=float)
+    if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))):
+        raise ConfigError(
+            f"data-scale {config.data_scale:g} makes the sampled {data.name} data "
+            f"non-finite: lower data-scale"
+        )
     t_levels = np.arange(grid.n_steps + 1) * grid.dt
     a_levels = profile.sample_a(t_levels)
     return _Experiment(
         profile=profile,
         data=data,
         grid=grid,
-        u0=np.asarray(data.u0(grid.x), dtype=float),
-        u1=np.asarray(data.u1(grid.x), dtype=float),
+        u0=u0,
+        u1=u1,
         lam2=(a_levels * grid.dt / grid.h) ** 2,
     )
 
@@ -203,11 +214,16 @@ def run(
     antiderivatives (cumulative trapezoids) are used for centered time
     differences, and the cone containment is verified to be machine-exact.
     The step to the level after a snapshot is taken in the snapshot's
-    kernel pass; BlowUpError names it when it is not finite. A snapshot one
-    or two levels later reuses the antiderivatives already taken. Identical
-    configs produce bit-identical series.
+    kernel pass; BlowUpError names it when it is not finite, before that
+    snapshot is checked or recorded. Each run of consecutive snapshot levels
+    is one pass, or one pass per level with an archive or the dual field,
+    which see every level. A snapshot one or two levels later reuses the
+    antiderivatives already taken. The cone's node limits are computed once
+    for every snapshot level. Identical configs produce bit-identical series.
     """
     profile, data, grid, u0, u1, lam2 = _resolve(config)
+    levels = _snapshot_levels(grid.n_steps, config.snapshots)
+    cone_lo, cone_hi = _cone_limits(data, grid, levels)
 
     with (
         open(archive_path, "wb") if archive_path else nullcontext()
@@ -217,7 +233,7 @@ def run(
         )
         v0 = cumtrapz(u0, grid.h)
         series.append(*analysis.initial_record(u0, u1, v0, profile, grid))
-        series.cone_ok &= _cone_exact(nonzero_extent(u0 != 0.0), data, grid, level=0)
+        series.cone_ok &= _cone_exact(nonzero_extent(u0 != 0.0), cone_lo[0], cone_hi[0])
         if archive:
             _write_archive_record(archive, 0.0, u0)
 
@@ -227,8 +243,9 @@ def run(
         level = 1
         # antiderivatives already taken that the next snapshot may reuse
         v_by_level = {0: v0}
-        for target in _snapshot_levels(grid.n_steps, config.snapshots)[1:]:
-            target = int(target)
+        # the archive and the dual field see every snapshot level
+        for start, stop in _level_runs(levels, split=archive is not None or dual is not None):
+            target = int(levels[start])
             if target > level:
                 u_prev, u_curr = advance(u_prev, u_curr, lam2[level:target], level)
                 level = target
@@ -240,14 +257,22 @@ def run(
             )
             if dual is not None:
                 dual.compare(level, v_curr)
-            snap = snapshot_pass(u_prev, u_curr, v_prev, v_curr, grid.h, grid.dt, lam2[level])
-            if not snap.finite:
-                raise BlowUpError(level + 1)
-            series.cone_ok &= _cone_exact(snap.extent, data, grid, level=level)
-            series.append(*analysis.snapshot_record(level * grid.dt, snap.norms, profile))
-            v_by_level = {level: v_curr, level + 1: snap.v_next}
-            u_prev, u_curr = u_curr, snap.u_next
-            level += 1
+            snaps = snapshot_pass(
+                u_prev, u_curr, v_prev, v_curr, grid.h, grid.dt, lam2[level : level + stop - start]
+            )
+            # the pass ends at a level whose step is not finite, and so does the run
+            kept = len(snaps.norms) if snaps.finite else len(snaps.norms) - 1
+            for j in range(kept):
+                series.cone_ok &= _cone_exact(
+                    snaps.extents[j].tolist(), cone_lo[start + j], cone_hi[start + j]
+                )
+                t = (level + j) * grid.dt
+                series.append(*analysis.snapshot_record(t, snaps.norms[j].tolist(), profile))
+            if not snaps.finite:
+                raise BlowUpError(level + kept + 1)
+            level += kept
+            u_prev, u_curr = snaps.u_prev, snaps.u_curr
+            v_by_level = {level - 1: snaps.v_prev, level: snaps.v_curr}
         if dual is not None:
             series.dual_v_max_rel_err = dual.max_rel_err
         return series
@@ -266,17 +291,40 @@ def evolve_final(config: ExperimentConfig):
     return grid, u_final
 
 
-def _cone_exact(extent, data: InitialData, grid: GridSpec, level: int) -> bool:
-    """Whether a field is exactly zero outside the numerical cone.
+def _level_runs(levels: np.ndarray, split: bool) -> list:
+    """The index ranges [start, stop) of the runs of consecutive levels in ``levels[1:]``.
 
-    ``extent`` is the first and last node where the field is nonzero, as
-    the snapshot pass reports it: ``(n, -1)`` for a field of zeros.
+    With ``split`` every level is a run of its own.
     """
-    radius = data.support_radius + level * grid.h
+    # levels[i] starts a run unless it follows levels[i - 1]; level 0 takes no pass
+    starts_run = np.diff(levels) != 1
+    starts_run[:1] = True
+    if split:
+        starts_run[:] = True
+    starts = (np.flatnonzero(starts_run) + 1).tolist()
+    return list(zip(starts, starts[1:] + [len(levels)]))
+
+
+def _cone_limits(data: InitialData, grid: GridSpec, levels) -> tuple:
+    """The nodes [lo, hi) inside the numerical cone at each of ``levels``, as two lists.
+
+    A field at a level is exactly zero outside the cone when it is nonzero
+    only at nodes in [lo, hi): the nodes where |x| <= support + level h + h/2.
+    """
+    radius = data.support_radius + np.asarray(levels) * grid.h
     thr = radius + 0.5 * grid.h
     # |x| > thr is x < -thr or x > thr; the nodes are sorted
     lo = np.searchsorted(grid.x, -thr, side="left")
     hi = np.searchsorted(grid.x, thr, side="right")
+    return lo.tolist(), hi.tolist()
+
+
+def _cone_exact(extent, lo: int, hi: int) -> bool:
+    """Whether a field is exactly zero outside the cone's nodes [lo, hi).
+
+    ``extent`` is the first and last node where the field is nonzero, as
+    the snapshot pass reports it: ``(n, -1)`` for a field of zeros.
+    """
     first, last = extent
     return bool(lo <= first and last < hi)
 

@@ -116,32 +116,50 @@ def snapshot_field(rng, size, scale):
 
 
 # lengths cross numpy's pairwise-sum boundaries at 8 and 128 terms, and 8001
-# is a grid size; scales reach subnormal squares and squares that overflow;
-# the step's factor may overflow it, the current level may have +0.0 margins
-# or be all +0.0, and a non-finite value may sit in the current level and
-# the previous one
+# is a grid size; scales reach subnormal squares, squares that overflow and
+# finite steps whose antiderivatives overflow; a step's factor may overflow
+# it, the current level may have +0.0 margins or be all +0.0, both levels
+# may be a band of +0.0 margins as in the cone, the antiderivatives may have
+# the cumulative trapezoid's tails (+0.0 on the left, one constant on the
+# right), and a non-finite value may sit in the current level and the
+# previous one
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.one_of(st.integers(3, 300), st.just(8001)),
+    k=st.sampled_from([1, 2, 3, 7]),
     seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e150, 1e160]),
+    scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e150, 1e160, 1e307]),
     h=st.floats(1e-4, 10.0),
     dt=st.floats(1e-4, 10.0),
-    lam2=st.one_of(st.floats(-2.0, 2.0), st.just(1e300)),
+    lam2=st.lists(st.one_of(st.floats(-2.0, 2.0), st.just(1e300)), min_size=7, max_size=7),
     special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
-    current=st.sampled_from(["drawn", "margins", "zeros"]),
+    current=st.sampled_from(["drawn", "margins", "zeros", "bands"]),
+    tails=st.booleans(),
 )
 def test_snapshot_pass_agrees_bit_for_bit(
-    compiled_backend, n, seed, scale, h, dt, lam2, special, current
+    compiled_backend, n, k, seed, scale, h, dt, lam2, special, current, tails
 ):
     rng = np.random.default_rng(seed)
     u_prev, u_curr, v_prev, v_curr = (snapshot_field(rng, n, scale) for _ in range(4))
-    if current == "margins":
+    lam2 = np.array(lam2[:k])
+
+    def band(*fields):
         lo, hi = np.sort(rng.integers(0, n, 2))
-        u_curr[:lo] = 0.0
-        u_curr[hi + 1 :] = 0.0
+        for f in fields:
+            f[:lo] = 0.0
+            f[hi + 1 :] = 0.0
+        return lo, hi
+
+    if current == "margins":
+        band(u_curr)
     elif current == "zeros":
         u_curr[:] = 0.0
+    elif current == "bands":
+        band(u_prev, u_curr)
+    if tails:
+        for v in (v_prev, v_curr):
+            _, hi = band(v)
+            v[hi + 1 :] = v[hi]
     if special is not None:
         u_curr[rng.integers(0, n)] = special
         u_prev[rng.integers(0, n)] = special
@@ -149,17 +167,34 @@ def test_snapshot_pass_agrees_bit_for_bit(
     before = [bits(f).copy() for f in levels]
     want = reference.snapshot_pass(*levels, h, dt, lam2)
     got = compiled_backend.snapshot_pass(*levels, h, dt, lam2)
-    for w, g in zip(want[:3], got[:3]):
+    m = len(want.norms)
+    assert want.norms.shape == got.norms.shape == (m, 6)
+    assert np.array_equal(value_bits(want.norms), value_bits(got.norms))
+    assert want.extents.shape == got.extents.shape == (m, 2)
+    assert np.array_equal(want.extents, got.extents)
+    assert want.finite is got.finite is bool(np.all(np.isfinite(want.u_curr)))
+    for w, g in zip(want[3:], got[3:]):
         assert np.array_equal(value_bits(w), value_bits(g))
-    assert want.finite is got.finite is bool(np.all(np.isfinite(want.u_next)))
     nonzero = np.flatnonzero(u_curr != 0.0)
     extent = (nonzero[0], nonzero[-1]) if nonzero.size else (n, -1)
-    assert want.extent == got.extent == extent
+    assert tuple(got.extents[0]) == extent
     for f, was in zip(levels, before):
         assert np.array_equal(bits(f), was)
-    # the pass's step is the stepping kernel's step
-    _, stepped = reference.advance_steps(u_prev, u_curr, [lam2])
-    assert np.array_equal(value_bits(got.u_next), value_bits(stepped))
+    # one-level calls, one per level, take the same levels, and the pass
+    # stops at the first whose step is not finite
+    chain = levels
+    for i in range(m):
+        one = reference.snapshot_pass(*chain, h, dt, lam2[i : i + 1])
+        assert np.array_equal(value_bits(one.norms), value_bits(got.norms[i : i + 1]))
+        assert np.array_equal(one.extents, got.extents[i : i + 1])
+        # the pass's step is the stepping kernel's step
+        _, stepped = reference.advance_steps(chain[0], chain[1], lam2[i : i + 1])
+        assert np.array_equal(value_bits(one.u_curr), value_bits(stepped))
+        assert one.finite is (i < m - 1 or got.finite)
+        chain = one[3:]
+    assert got.finite is (m == k and bool(np.all(np.isfinite(chain[1]))))
+    for w, g in zip(chain, got[3:]):
+        assert np.array_equal(value_bits(w), value_bits(g))
 
 
 def test_reference_backend_is_silent_on_overflow():
@@ -178,7 +213,8 @@ def test_reference_backend_is_silent_on_overflow():
     assert not np.all(np.isfinite(stepped))
     assert not snap_step.finite
     assert snap.finite
-    assert snap.norms[:4] == [np.inf] * 4 and not any(map(np.isfinite, snap.norms))
+    norms = snap.norms[0].tolist()
+    assert norms[:4] == [np.inf] * 4 and not any(map(np.isfinite, norms))
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -197,11 +233,25 @@ def test_snapshot_pass_rejects_bad_arguments(pass_backend):
     with pytest.raises(ValueError, match="at least 3 nodes"):
         pass_backend(*[np.zeros(2)] * 4, 0.1, 0.1, lam2=0.5)
     levels = [np.zeros(50)] * 4
-    with pytest.raises(ValueError, match="takes one lam2, got 0"):
+    with pytest.raises(ValueError, match="takes at least one lam2, got 0"):
         pass_backend(*levels, 0.1, 0.1, lam2=[])
+    with pytest.raises(ValueError, match="lam2 must be a 1-D array"):
+        pass_backend(*levels, 0.1, 0.1, lam2=np.full((2, 1), 0.5))
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="lam2 must be finite"):
             pass_backend(*levels, 0.1, 0.1, lam2=bad)
+
+
+def test_a_finite_step_whose_antiderivative_overflows_is_finite(pass_backend):
+    # the step stays finite, the running sum of its trapezoids overflows:
+    # finiteness is the step's, not the antiderivative's
+    u = np.full(50, 0.6e308)
+    v = np.zeros(50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snap = pass_backend(u, u, v, v, 1.0, 1.0, [0.5, 0.5])
+    assert np.all(np.isfinite(snap.u_curr)) and not np.isfinite(snap.v_curr[-1])
+    assert snap.finite and len(snap.norms) == 2
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -294,8 +344,13 @@ print(all(map(callable, names)))
 
 
 # a stale library from an older stencil.c: the one whose snapshot pass
-# returned raw sums, and the one whose snapshot function took no step
-STALE_SYMBOLS = {"stale": "snapshot_sums", "stale-norms": "snapshot_norms"}
+# returned raw sums, the one whose snapshot function took no step, and the
+# one whose snapshot pass took one level
+STALE_SYMBOLS = {
+    "stale": "snapshot_sums",
+    "stale-norms": "snapshot_norms",
+    "stale-pass": "snapshot_pass",
+}
 
 
 @pytest.mark.parametrize("library", ["missing", "unloadable", *STALE_SYMBOLS])

@@ -65,6 +65,20 @@ def test_grid_that_overflows_is_a_config_error():
         solver.init_grid(data, fast, 0.0, cfl=1e-200, n_points=65)
 
 
+def test_data_scale_that_overflows_the_samples_is_a_config_error():
+    # scale * y overflows outside the support, where bump(y) is 0: inf * 0
+    # is NaN, which the run rejects as bad data, with no numpy warning
+    cfg = ExperimentConfig(
+        profile="example2a", data="odd-velocity", t_end=1.0, n_points=201, data_scale=1.7e308
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"data-scale 1\.7e\+308 .* odd-velocity data non-finite"):
+            solver.run(cfg)
+        with pytest.raises(ConfigError, match="data-scale"):
+            solver.evolve_final(cfg)
+
+
 def test_memory_budget_enforced():
     with pytest.raises(CapacityError):
         solver.init_grid(get_data("bump"), get_profile("const:1"), 5.0, n_points=4_194_305)
@@ -252,9 +266,10 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         return cumtrapz(f, h)
 
     def counting_pass(*args):
-        # the snapshot's kernel pass steps to its next level and integrates it
-        integrals.append(1)
-        steps.append(1)
+        # each snapshot level of the pass steps to its next level and integrates it
+        lam2 = args[-1]
+        integrals.extend([1] * len(lam2))
+        steps.append(len(lam2))
         return snapshot_pass(*args)
 
     monkeypatch.setattr(solver, "advance_steps", counting_steps)
@@ -273,6 +288,33 @@ def test_each_level_is_stepped_and_integrated_once(monkeypatch, snapshots):
         # levels 0..n_steps + 1 once each, plus the initial velocity for the
         # record at t = 0
         assert len(integrals) == n_steps + 3
+
+
+# 333 snapshots of 1001 steps: runs of two consecutive levels between gaps
+@pytest.mark.parametrize("snapshots", [2, 7, 333, 100000])
+def test_consecutive_snapshot_levels_share_one_pass(monkeypatch, tmp_path, snapshots):
+    # one pass per run of consecutive snapshot levels, and the records are
+    # bit for bit those of one pass per level, which an archived run takes
+    calls = []
+
+    def counting_pass(*args):
+        calls.append(len(args[-1]))
+        return snapshot_pass(*args)
+
+    monkeypatch.setattr(solver, "snapshot_pass", counting_pass)
+    cfg = ExperimentConfig(profile="example3", data="bump", t_end=20.0, n_points=1001, snapshots=snapshots)
+    together = solver.run(cfg)
+    runs, calls[:] = list(calls), []
+    apart = solver.run(cfg, archive_path=str(tmp_path / "archive"))
+    levels = solver._snapshot_levels(together.grid.n_steps, snapshots)
+    assert calls == [1] * (len(levels) - 1)
+    assert sum(runs) == len(levels) - 1
+    assert len(runs) == 1 + int(np.sum(np.diff(levels[1:]) != 1))
+    assert np.array_equal(
+        np.array(together.records).view(np.uint64), np.array(apart.records).view(np.uint64)
+    )
+    assert together.recon_max_rel_err == apart.recon_max_rel_err
+    assert together.cone_ok and apart.cone_ok
 
 
 @pytest.mark.parametrize("snapshots", [2, 7, 114, 100000])
@@ -335,32 +377,38 @@ def test_step_past_t_end_is_checked(monkeypatch):
 @pytest.mark.parametrize("kernel", ["python", "compiled"])
 def test_blow_up_on_a_snapshots_own_step_names_that_step(monkeypatch, request, kernel):
     # one overflowing Courant factor, on the step a snapshot's pass takes:
-    # the error names that step, as a separate checked step named it
+    # the error names that step, as a separate checked step named it. With 5
+    # snapshots each pass takes one level; with 100000, one per step, one
+    # pass takes every level and the bad step is inside it
     if kernel == "compiled":
         backend = request.getfixturevalue("compiled_backend")
         monkeypatch.setattr(solver, "advance_steps", backend.advance_steps)
         monkeypatch.setattr(solver, "snapshot_pass", backend.snapshot_pass)
-    cfg = ExperimentConfig(
-        profile="const:1", data="bump", data_scale=1e4, t_end=1.0, n_points=501, snapshots=5
-    )
     resolve = solver._resolve
-    level = int(solver._snapshot_levels(resolve(cfg).grid.n_steps, cfg.snapshots)[2])
+
+    def bad_level(config):
+        return int(solver._snapshot_levels(resolve(config).grid.n_steps, config.snapshots)[2])
 
     def overflowing(config):
         exp = resolve(config)
         lam2 = exp.lam2.copy()
-        lam2[level] = np.finfo(float).max
+        lam2[bad_level(config)] = np.finfo(float).max
         return exp._replace(lam2=lam2)
 
     monkeypatch.setattr(solver, "_resolve", overflowing)
-    with pytest.raises(BlowUpError) as info:
-        solver.run(cfg)
-    assert info.value.step_index == level + 1
+    for snapshots in (5, 100000):
+        cfg = ExperimentConfig(
+            profile="const:1", data="bump", data_scale=1e4, t_end=1.0, n_points=501,
+            snapshots=snapshots,
+        )
+        with pytest.raises(BlowUpError) as info:
+            solver.run(cfg)
+        assert info.value.step_index == bad_level(cfg) + 1
 
 
 def _extents(u):
     """The field's nonzero extent, as the snapshot pass and the t = 0 check find it."""
-    return snapshot_pass(u, u, u, u, 1.0, 1.0, 0.0).extent, nonzero_extent(u != 0.0)
+    return tuple(snapshot_pass(u, u, u, u, 1.0, 1.0, [0.0]).extents[0]), nonzero_extent(u != 0.0)
 
 
 def _cone_by_mask(u, x, r, level, h):
@@ -393,10 +441,14 @@ def test_cone_check_matches_mask_definition(n, h, r_cells, level, fill, at_cut):
         cut = int(np.searchsorted(grid.x, thr)) + at_cut
         if 0 <= cut < n:
             u[cut] = 1.0
+    # the limits of one level, and of the level among all levels up to it
+    lo, hi = solver._cone_limits(data, grid, [level])
+    every_lo, every_hi = solver._cone_limits(data, grid, np.arange(level + 1))
+    assert (every_lo[-1], every_hi[-1]) == (lo[0], hi[0])
     for f in (u, -u[::-1]):
         want = _cone_by_mask(f, grid.x, r, level, h)
         for extent in _extents(f):
-            assert solver._cone_exact(extent, data, grid, level=level) is want
+            assert solver._cone_exact(extent, lo[0], hi[0]) is want
 
 
 def test_cone_check_sees_every_snapshot_level(monkeypatch):
@@ -404,17 +456,21 @@ def test_cone_check_sees_every_snapshot_level(monkeypatch):
     checked = []
     cone_exact = solver._cone_exact
 
-    def recording(extent, data, grid, level):
-        checked.append((level, tuple(extent)))
-        return cone_exact(extent, data, grid, level)
+    def recording(extent, lo, hi):
+        checked.append(((lo, hi), tuple(extent)))
+        return cone_exact(extent, lo, hi)
 
     monkeypatch.setattr(solver, "_cone_exact", recording)
     cfg = ExperimentConfig(profile="const:1", data="bump", t_end=1.0, n_points=501, snapshots=5)
     series = solver.run(cfg)
     grid = series.grid
     nonzero = np.flatnonzero(np.asarray(get_data("bump").u0(grid.x)) != 0.0)
-    assert checked[0] == (0, (nonzero[0], nonzero[-1]))
-    assert [level for level, _ in checked] == list(solver._snapshot_levels(grid.n_steps, 5))
+    levels = solver._snapshot_levels(grid.n_steps, 5)
+    limits = list(zip(*solver._cone_limits(series.data, grid, levels)))
+    assert checked[0] == (limits[0], (nonzero[0], nonzero[-1]))
+    # each snapshot level is checked against its own cone, in order
+    assert [lim for lim, _ in checked] == limits
+    assert len(set(limits)) == len(levels)
     assert series.cone_ok
 
 
