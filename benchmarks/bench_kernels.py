@@ -3,7 +3,7 @@
 Runs the same multi-step advance through both backends, then one call of
 the ``refine`` benchmark workload's finest level (``const:1`` ``bump``,
 ``t_end`` 3, 32001 nodes, the call ``solver.evolve_final`` makes), then the
-snapshot pass (each level's step, its antiderivative and six squared
+snapshot pass (each level's step, the antiderivatives and six squared
 trapezoid norms): one level per call on an 8001-node snapshot, as a run
 whose snapshots are apart calls it, and every level of the ``dense``
 benchmark workload's run in the one call ``solver.run`` makes (``example1``
@@ -24,7 +24,6 @@ import numpy as np
 
 from wavebound import kernels, solver
 from wavebound.config import ExperimentConfig
-from wavebound.grids import cumtrapz
 from wavebound.initial_data import bump
 from wavebound.kernels import reference
 
@@ -74,13 +73,11 @@ def refine_problem():
 
 def snapshot_problem(n_points):
     """The snapshot pass's arguments for one level: two consecutive levels of a
-    stepped bump, their antiderivatives, h, dt and the squared Courant factor
-    of its step."""
+    stepped bump, h, dt and the squared Courant factor of its step."""
     u, lam2 = make_problem(n_points, 3)
     h, dt = 400.0 / (n_points - 1), 0.9 * 400.0 / (n_points - 1)
     u_prev, u_curr = reference.advance_steps(u, u, lam2[:2])
-    v_prev, v_curr = cumtrapz(u_prev, h), cumtrapz(u_curr, h)
-    return u_prev, u_curr, v_prev, v_curr, h, dt, lam2[2:]
+    return u_prev, u_curr, h, dt, lam2[2:]
 
 
 def dense_problem():
@@ -89,8 +86,7 @@ def dense_problem():
     Its snapshot levels are 1..n_steps, all consecutive.
     """
     profile, _, grid, u0, u1, lam2 = solver._resolve(DENSE_CONFIG)
-    u_first = solver.first_step(u0, u1, profile.a0, grid)
-    return u0, u_first, cumtrapz(u0, grid.h), cumtrapz(u_first, grid.h), grid.h, grid.dt, lam2[1:]
+    return u0, solver.first_step(u0, u1, profile.a0, grid), grid.h, grid.dt, lam2[1:]
 
 
 def time_calls(fn, args, calls, repeats=5):

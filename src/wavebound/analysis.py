@@ -125,16 +125,16 @@ def _record(t, norms, profile: CoefficientProfile):
     return DiagnosticRecord(t, l2u, e_u, e_v, l2vx, a_t, ap_t), recon
 
 
-def initial_record(u0, u1, v0, profile: CoefficientProfile, grid: GridSpec):
+def initial_record(u0, u1, profile: CoefficientProfile, grid: GridSpec):
     """Diagnostic record at t = 0, using the exact initial velocity.
 
-    ``v0`` is the antiderivative (``cumtrapz``) of ``u0``; the time
+    The fields are ``u0`` and its antiderivative (``cumtrapz``); the time
     derivatives are ``u1`` and its antiderivative. Returns the record and
     the reconstruction error, with no overflow warning: the series rejects a
     non-finite record.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        v1 = cumtrapz(u1, grid.h)
+        v0, v1 = cumtrapz(u0, grid.h), cumtrapz(u1, grid.h)
     return _record(0.0, snapshot_norms(u0, v0, u1, v1, grid.h), profile)
 
 

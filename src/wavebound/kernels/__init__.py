@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from wavebound.kernels import reference
-from wavebound.kernels.reference import Snapshots, checked_arrays, checked_snapshot
+from wavebound.kernels.reference import Snapshots, checked_arrays
 
 # file name stem of the compiled library; no Python module has this name
 LIBRARY = "_stencil_c"
@@ -48,15 +48,15 @@ def load(path) -> Backend:
     Its functions take the arguments of the reference backend and return
     the same bits. Raises OSError when the file is not a loadable library
     and AttributeError when it lacks one of the functions (a library built
-    from an older ``stencil.c``, whose snapshot function took one level
-    under another name).
+    from an older ``stencil.c``, whose snapshot function had another name:
+    the last one, ``snapshot_levels``, also took two antiderivatives).
     """
     lib = ctypes.CDLL(os.fspath(path))
-    c_steps, c_pass = lib.advance_steps, lib.snapshot_levels
+    c_steps, c_pass = lib.advance_steps, lib.snapshot_run
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     c_steps.argtypes = (ptr, ptr, ptr, size, ptr, size, ptr)
     c_steps.restype = None
-    c_pass.argtypes = (ptr, ptr, ptr, ptr, size, ptr, size, real, real, ptr, ptr)
+    c_pass.argtypes = (ptr, ptr, size, ptr, size, real, real, ptr, ptr)
     c_pass.restype = size
 
     def advance_steps(u_prev, u_curr, lam2, right=None):
@@ -76,31 +76,28 @@ def load(path) -> Backend:
         k = lam2.size % 3
         return ring[k], ring[(k + 1) % 3]
 
-    def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2):
-        """k snapshot levels' steps, antiderivatives and norms in C; see the reference backend.
+    def snapshot_pass(u_prev, u_curr, h, dt, lam2):
+        """k snapshot levels' steps and norms in C; see the reference backend.
 
-        The new levels and their antiderivatives cycle through a ring of
-        three u and three v levels (k of each when k < 3) in one array that
-        this call allocates, followed by the norms; the levels it returns are
-        views into it, or the given ``u_curr`` and ``v_curr`` after one level.
+        One array that this call allocates holds the new levels, a ring of
+        three (k when k < 3), then three antiderivative slots, then the
+        norms; the levels it returns are views into it, or the given
+        ``u_curr`` after one level.
         """
-        u_prev, u_curr, v_prev, v_curr, lam2 = checked_snapshot(
-            u_prev, u_curr, v_prev, v_curr, lam2
-        )
+        u_prev, u_curr, lam2, _ = checked_arrays(u_prev, u_curr, lam2, snapshot=True)
         n, k = u_curr.size, lam2.size
         r = min(k, 3)
-        work = np.empty(2 * r * n + 6 * k)
+        work = np.empty((r + 3) * n + 6 * k)
         extents = np.empty((k, 2), dtype=np.intp)
         finite_steps = c_pass(
-            u_prev.ctypes.data, u_curr.ctypes.data, v_prev.ctypes.data, v_curr.ctypes.data,
-            n, lam2.ctypes.data, k, h, dt, work.ctypes.data, extents.ctypes.data,
+            u_prev.ctypes.data, u_curr.ctypes.data, n, lam2.ctypes.data, k, h, dt,
+            work.ctypes.data, extents.ctypes.data,
         )
         m = min(finite_steps + 1, k)
-        ring = work[: 2 * r * n].reshape(2, r, n)
-        u_last, v_last = ring[:, (m - 1) % 3]
-        u_before, v_before = ring[:, (m - 2) % 3] if m > 1 else (u_curr, v_curr)
-        norms = work[2 * r * n :].reshape(k, 6)[:m]
-        return Snapshots(norms, extents[:m], finite_steps == k, u_before, u_last, v_before, v_last)
+        ring = work[: r * n].reshape(r, n)
+        u_before = ring[(m - 2) % 3] if m > 1 else u_curr
+        norms = work[(r + 3) * n :].reshape(k, 6)[:m]
+        return Snapshots(norms, extents[:m], finite_steps == k, u_before, ring[(m - 1) % 3])
 
     return Backend(advance_steps, snapshot_pass)
 

@@ -3,8 +3,8 @@
 This is the fallback backend used when the compiled kernel is not built.
 The arithmetic is written to match the compiled kernel operation for
 operation, so the two backends produce bit-identical results. Both take
-their arguments through :func:`checked_arrays` and :func:`checked_snapshot`,
-and, like the compiled kernel, neither warns on overflow: callers check.
+their arguments through :func:`checked_arrays`, and, like the compiled
+kernel, neither warns on overflow: callers check.
 """
 
 from typing import NamedTuple
@@ -29,30 +29,9 @@ class Snapshots(NamedTuple):
     # whether the last step taken is finite; a non-finite value persists,
     # so this covers every level after it
     finite: bool
-    # the last two levels and their antiderivatives, to continue from
+    # the last two levels, to continue from
     u_prev: np.ndarray
     u_curr: np.ndarray
-    v_prev: np.ndarray
-    v_curr: np.ndarray
-
-
-def checked_levels(**levels):
-    """The named field levels as contiguous float64 arrays, or ValueError.
-
-    The compiled kernel indexes raw pointers, so every length it relies on
-    is checked here, before any backend reads a value: the levels are 1-D,
-    of one length, and at least 3 nodes long.
-    """
-    arrays = [np.ascontiguousarray(f, dtype=np.float64) for f in levels.values()]
-    names = list(levels)
-    for name, f in zip(names, arrays):
-        if f.ndim != 1:
-            raise ValueError(f"{name} must be a 1-D array, got shape {f.shape}")
-        if f.size != arrays[0].size:
-            raise ValueError(f"{names[0]} has {arrays[0].size} nodes but {name} has {f.size}")
-    if arrays[0].size < 3:
-        raise ValueError(f"the stencil needs at least 3 nodes, got {arrays[0].size}")
-    return arrays
 
 
 def checked_lam2(lam2):
@@ -70,10 +49,25 @@ def checked_lam2(lam2):
     return lam2
 
 
-def checked_arrays(u_prev, u_curr, lam2, right):
-    """The stepping arguments as contiguous float64 arrays, or ValueError."""
-    u_prev, u_curr = checked_levels(u_prev=u_prev, u_curr=u_curr)
+def checked_arrays(u_prev, u_curr, lam2, right=None, *, snapshot=False):
+    """The kernels' arguments as contiguous float64 arrays, or ValueError.
+
+    The compiled kernel indexes raw pointers, so every length it relies on
+    is checked here, before any backend reads a value: the levels are 1-D,
+    of one length and at least 3 nodes long, ``right`` holds a value per
+    step, and a ``snapshot`` pass takes at least one step.
+    """
+    u_prev, u_curr = (np.ascontiguousarray(f, dtype=np.float64) for f in (u_prev, u_curr))
+    for name, f in (("u_prev", u_prev), ("u_curr", u_curr)):
+        if f.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D array, got shape {f.shape}")
+    if u_curr.size != u_prev.size:
+        raise ValueError(f"u_prev has {u_prev.size} nodes but u_curr has {u_curr.size}")
+    if u_curr.size < 3:
+        raise ValueError(f"the stencil needs at least 3 nodes, got {u_curr.size}")
     lam2 = checked_lam2(lam2)
+    if snapshot and lam2.size == 0:
+        raise ValueError("the snapshot pass takes at least one lam2, got 0")
     if right is not None:
         right = np.ascontiguousarray(right, dtype=np.float64)
         if right.ndim != 1 or right.size < lam2.size:
@@ -81,18 +75,6 @@ def checked_arrays(u_prev, u_curr, lam2, right):
                 f"right must be 1-D with at least {lam2.size} values, got shape {right.shape}"
             )
     return u_prev, u_curr, lam2, right
-
-
-def checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2):
-    """The snapshot pass's levels and its steps' factors as float64 arrays, or ValueError.
-
-    ``lam2`` holds the squared Courant factor of each level's step, at least one.
-    """
-    lam2 = checked_lam2(lam2)
-    if lam2.size == 0:
-        raise ValueError("the snapshot pass takes at least one lam2, got 0")
-    levels = checked_levels(u_prev=u_prev, u_curr=u_curr, v_prev=v_prev, v_curr=v_curr)
-    return (*levels, lam2)
 
 
 def _live_band(u_prev, u_curr, right):
@@ -167,7 +149,10 @@ def advance_steps(u_prev, u_curr, lam2, right=None):
 
 
 def _snapshot_level(u_prev, u_curr, v_prev, v_curr, h, dt, lam):
-    """One snapshot level: the full-width step, its antiderivative, norms, finiteness and extent."""
+    """One snapshot level: the full-width step, its antiderivative, norms, finiteness and extent.
+
+    ``v_prev`` and ``v_curr`` are the antiderivatives of ``u_prev`` and ``u_curr``.
+    """
     n = u_curr.size
     u_next = np.zeros_like(u_curr)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,20 +165,22 @@ def _snapshot_level(u_prev, u_curr, v_prev, v_curr, h, dt, lam):
     return u_next, v_next, norms, finite, nonzero_extent(u_curr != 0.0)
 
 
-def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2):
-    """k consecutive snapshot levels' steps, antiderivatives and squared trapezoid norms.
+def snapshot_pass(u_prev, u_curr, h, dt, lam2):
+    """k consecutive snapshot levels' steps and squared trapezoid norms.
 
     ``lam2`` holds k finite squared Courant factors. Of the levels
     ``(u_prev, u_curr, next_0, next_1, ...)``, level i takes the full-width
     step from the i-th and (i+1)-th to ``next_i`` at ``lam2[i]``, with zero
-    edges, and integrates it by cumulative trapezoid. Its snapshot is the
-    (i+1)-th level: the six norms of ``grids.snapshot_norms`` of it and its
-    antiderivative, with the time derivatives centered across the three
-    levels, and the extent of its nonzero values. The pass stops after the
-    first level whose step is not finite. Returns :class:`Snapshots`; the
-    inputs are never written.
+    edges. Its snapshot is the (i+1)-th level: the six norms of
+    ``grids.snapshot_norms`` of it and its antiderivative (every level is
+    integrated by cumulative trapezoid here), with the time derivatives
+    centered across the three levels, and the extent of its nonzero values.
+    The pass stops after the first level whose step is not finite. Returns
+    :class:`Snapshots`; the inputs are never written.
     """
-    u_prev, u_curr, v_prev, v_curr, lam2 = checked_snapshot(u_prev, u_curr, v_prev, v_curr, lam2)
+    u_prev, u_curr, lam2, _ = checked_arrays(u_prev, u_curr, lam2, snapshot=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_prev, v_curr = cumtrapz(u_prev, h), cumtrapz(u_curr, h)
     norms, extents = [], []
     for lam in lam2:
         u_next, v_next, level_norms, finite, extent = _snapshot_level(
@@ -204,6 +191,4 @@ def snapshot_pass(u_prev, u_curr, v_prev, v_curr, h, dt, lam2):
         u_prev, u_curr, v_prev, v_curr = u_curr, u_next, v_curr, v_next
         if not finite:
             break
-    return Snapshots(
-        np.array(norms), np.array(extents, dtype=np.intp), finite, u_prev, u_curr, v_prev, v_curr
-    )
+    return Snapshots(np.array(norms), np.array(extents, dtype=np.intp), finite, u_prev, u_curr)

@@ -183,14 +183,27 @@ static int all_finite(const double *x, ptrdiff_t n)
     return !bad;
 }
 
+/* v = the cumulative trapezoid of u over n >= 3 nodes, as grids.cumtrapz
+   computes it (np.cumsum: the first term copied, then sequential adds). */
+static void integrate(const double *u, double *v, ptrdiff_t n, double h)
+{
+    double half_h = 0.5 * h;
+    double acc = half_h * (u[1] + u[0]);
+    v[0] = 0.0;
+    v[1] = acc;
+    for (ptrdiff_t j = 2; j < n; j++) {
+        acc += half_h * (u[j] + u[j - 1]);
+        v[j] = acc;
+    }
+}
+
 /* One snapshot level in one pass over n >= 3 nodes. un is written with the
    full-width step from (up, uc) at lam, edge values 0, and vn with its
-   cumulative trapezoid (np.cumsum: the first term copied, then sequential
-   adds); norms[s] becomes the composite trapezoid of the s-th square listed
-   at squares(), from its numpy sum as grids.trapz_sq computes it.
-   extent[0] and extent[1] are the first and last node where uc != 0.0 (NaN
-   counts, -0.0 does not), or n and -1 when there is none. Returns 1 when un
-   is finite, else 0. */
+   antiderivative; vp and vc are those of up and uc. norms[s] becomes the
+   composite trapezoid of the s-th square listed at squares(), from its
+   numpy sum as grids.trapz_sq computes it. extent[0] and extent[1] are the
+   first and last node where uc != 0.0 (NaN counts, -0.0 does not), or n
+   and -1 when there is none. Returns 1 when un is finite, else 0. */
 static int snapshot_level(const double *up, const double *uc, double *un,
                           const double *vp, const double *vc, double *vn, ptrdiff_t n,
                           double lam, double h, double dt, double *norms,
@@ -207,14 +220,7 @@ static int snapshot_level(const double *up, const double *uc, double *un,
     extent[0] = first;
     extent[1] = first < n ? last : -1;
 
-    double half_h = 0.5 * h;
-    double acc = half_h * (un[1] + un[0]);
-    vn[0] = 0.0;
-    vn[1] = acc;
-    for (ptrdiff_t j = 2; j < n; j++) {
-        acc += half_h * (un[j] + un[j - 1]);
-        vn[j] = acc;
-    }
+    integrate(un, vn, n, h);
     struct snapshot f = {up, uc, un, vp, vc, vn, n, 2.0 * h, 2.0 * dt};
     double res[NSUMS];
     pairwise(&f, 0, n, res);
@@ -232,30 +238,32 @@ static int snapshot_level(const double *up, const double *uc, double *un,
 }
 
 /* k >= 1 consecutive snapshot levels in one call. Of the levels
-   (up, uc, next_0, next_1, ...) and their antiderivatives (vp, vc, ...),
-   level i steps from the i-th and (i+1)-th to next_i at lam[i] and takes
-   the snapshot at the (i+1)-th, as snapshot_level does. The new levels
-   cycle through a ring in work: r = min(k, 3) levels of n nodes for u,
-   then r for v, next_i and its antiderivative in slot i % 3 of each; then
-   come the norms, six per level. Level i's extent is extents[2i], [2i + 1].
-   The inputs are never written. The pass stops after the first level whose
-   step is not finite and returns the number of levels whose step is: k
-   when every step is finite, else the index of the one that is not. */
-ptrdiff_t snapshot_levels(const double *up, const double *uc, const double *vp,
-                          const double *vc, ptrdiff_t n, const double *lam, ptrdiff_t k,
-                          double h, double dt, double *work, ptrdiff_t *extents)
+   (up, uc, next_0, next_1, ...), level i steps from the i-th and (i+1)-th
+   to next_i at lam[i] and takes the snapshot at the (i+1)-th, as
+   snapshot_level does. The new levels cycle through a ring of
+   r = min(k, 3) levels of n nodes at the start of work, next_i in slot
+   i % 3; then come three slots of n nodes for the antiderivatives, which
+   are integrated here and cycle likewise, up's in slot 0; then the norms,
+   six per level. Level i's extent is extents[2i], [2i + 1]. The inputs are
+   never written. The pass stops after the first level whose step is not
+   finite and returns the number of levels whose step is: k when every step
+   is finite, else the index of the one that is not. */
+ptrdiff_t snapshot_run(const double *up, const double *uc, ptrdiff_t n, const double *lam,
+                       ptrdiff_t k, double h, double dt, double *work, ptrdiff_t *extents)
 {
     ptrdiff_t r = k < 3 ? k : 3;
-    double *u_ring = work, *v_ring = work + r * n, *norms = work + 2 * r * n;
+    double *u_ring = work, *v_ring = work + r * n, *norms = work + (r + 3) * n;
+    integrate(up, v_ring, n, h);
+    integrate(uc, v_ring + n, n, h);
     for (ptrdiff_t i = 0; i < k; i++) {
-        double *un = u_ring + (i % 3) * n, *vn = v_ring + (i % 3) * n;
+        double *un = u_ring + (i % 3) * n;
+        const double *vp = v_ring + (i % 3) * n, *vc = v_ring + ((i + 1) % 3) * n;
+        double *vn = v_ring + ((i + 2) % 3) * n;
         if (!snapshot_level(up, uc, un, vp, vc, vn, n, lam[i], h, dt, norms + NSUMS * i,
                             extents + 2 * i))
             return i;
         up = uc;
         uc = un;
-        vp = vc;
-        vc = vn;
     }
     return k;
 }

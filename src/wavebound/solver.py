@@ -22,17 +22,17 @@ full sweep's, a -0.0 inside the cone included.
 
 A snapshot carries three consecutive levels so time derivatives can be
 centered, plus the antiderivative field of each level by cumulative
-trapezoid. Each field level is stepped once and integrated at most once:
-the snapshot's kernel pass takes the step to the level after it, reports
-whether that level is finite and the extent of the snapshot level's
-nonzero values, and integrates the new level; the run keeps the two latest
-antiderivatives by level for the next snapshot. Consecutive snapshot
-levels share one kernel pass, which steps from one to the next. The final
-snapshot steps once past t_end, checked like every other step; the record
-at t = 0 is computed from its definition. The kernel never writes into the
-levels it is given, so no level is copied before a step. An optional cross-check also
-evolves the antiderivative field with the same stencil from its own
-initial data, to each snapshot only, and compares.
+trapezoid. Each field level is stepped once, and the run carries only the
+field: the snapshot's kernel pass takes the step to the level after it,
+reports whether that level is finite and the extent of the snapshot
+level's nonzero values, and integrates the levels it reads. Consecutive
+snapshot levels share one kernel pass, which steps from one to the next.
+The final snapshot steps once past t_end, checked like every other step;
+the record at t = 0 is computed from its definition. The kernel never
+writes into the levels it is given, so no level is copied before a step.
+An optional cross-check also evolves the antiderivative field with the
+same stencil from its own initial data, to each snapshot only, and
+compares.
 """
 
 from __future__ import annotations
@@ -217,9 +217,8 @@ def run(
     kernel pass; BlowUpError names it when it is not finite, before that
     snapshot is checked or recorded. Each run of consecutive snapshot levels
     is one pass, or one pass per level with an archive or the dual field,
-    which see every level. A snapshot one or two levels later reuses the
-    antiderivatives already taken. The cone's node limits are computed once
-    for every snapshot level. Identical configs produce bit-identical series.
+    which see every level. The cone's node limits are computed once for
+    every snapshot level. Identical configs produce bit-identical series.
     """
     profile, data, grid, u0, u1, lam2 = _resolve(config)
     levels = _snapshot_levels(grid.n_steps, config.snapshots)
@@ -231,18 +230,15 @@ def run(
         series = analysis.DiagnosticSeries(
             records=[], profile=profile, data=data, grid=grid
         )
-        v0 = cumtrapz(u0, grid.h)
-        series.append(*analysis.initial_record(u0, u1, v0, profile, grid))
+        series.append(*analysis.initial_record(u0, u1, profile, grid))
         series.cone_ok &= _cone_exact(nonzero_extent(u0 != 0.0), cone_lo[0], cone_hi[0])
         if archive:
             _write_archive_record(archive, 0.0, u0)
 
         u_prev, u_curr = u0, first_step(u0, u1, profile.a0, grid)
-        dual = _DualVState(u0, u1, v0, profile.a0, grid, lam2) if dual_v_check else None
+        dual = _DualVState(u0, u1, profile.a0, grid, lam2) if dual_v_check else None
 
         level = 1
-        # antiderivatives already taken that the next snapshot may reuse
-        v_by_level = {0: v0}
         # the archive and the dual field see every snapshot level
         for start, stop in _level_runs(levels, split=archive is not None or dual is not None):
             target = int(levels[start])
@@ -251,14 +247,10 @@ def run(
                 level = target
             if archive:
                 _write_archive_record(archive, level * grid.dt, u_curr)
-            v_prev, v_curr = (
-                v_by_level[k] if k in v_by_level else cumtrapz(u, grid.h)
-                for k, u in ((level - 1, u_prev), (level, u_curr))
-            )
             if dual is not None:
-                dual.compare(level, v_curr)
+                dual.compare(level, u_curr)
             snaps = snapshot_pass(
-                u_prev, u_curr, v_prev, v_curr, grid.h, grid.dt, lam2[level : level + stop - start]
+                u_prev, u_curr, grid.h, grid.dt, lam2[level : level + stop - start]
             )
             # the pass ends at a level whose step is not finite, and so does the run
             kept = len(snaps.norms) if snaps.finite else len(snaps.norms) - 1
@@ -272,7 +264,6 @@ def run(
                 raise BlowUpError(level + kept + 1)
             level += kept
             u_prev, u_curr = snaps.u_prev, snaps.u_curr
-            v_by_level = {level - 1: snaps.v_prev, level: snaps.v_curr}
         if dual is not None:
             series.dual_v_max_rel_err = dual.max_rel_err
         return series
@@ -346,10 +337,10 @@ class _DualVState:
     is stepped only to the snapshots it is compared at.
     """
 
-    def __init__(self, u0, u1, v0, a0, grid, lam2):
+    def __init__(self, u0, u1, a0, grid, lam2):
         self.grid = grid
         self.lam2 = lam2
-        v1 = cumtrapz(u1, grid.h)
+        v0, v1 = cumtrapz(u0, grid.h), cumtrapz(u1, grid.h)
         self.mass0 = trapz(u0, grid.h)
         self.c0 = trapz(u1, grid.h)
         self.level = 1
@@ -358,8 +349,8 @@ class _DualVState:
         self.v_curr[-1] = self.mass0 + grid.dt * self.c0
         self.max_rel_err = 0.0
 
-    def compare(self, level: int, v_ref: np.ndarray):
-        """Step to ``level`` and record the error against ``v_ref``, the antiderivative of u."""
+    def compare(self, level: int, u: np.ndarray):
+        """Step to ``level`` and record the error against the antiderivative of ``u``."""
         if level > self.level:
             steps = np.arange(self.level, level)
             right = self.mass0 + (steps + 1) * self.grid.dt * self.c0
@@ -367,6 +358,7 @@ class _DualVState:
                 self.v_prev, self.v_curr, self.lam2[self.level : level], right
             )
             self.level = level
+        v_ref = cumtrapz(u, self.grid.h)
         diff = math.sqrt(trapz_sq(self.v_curr - v_ref, self.grid.h))
         scale = max(1.0, math.sqrt(trapz_sq(v_ref, self.grid.h)))
         self.max_rel_err = max(self.max_rel_err, diff / scale)

@@ -18,7 +18,7 @@ from wavebound.analysis import (
 )
 from wavebound.coefficients import AssumptionFlags, classify, get_profile
 from wavebound.errors import FitError, HypothesisError, SeriesError, WaveboundError
-from wavebound.grids import GridSpec, cumtrapz
+from wavebound.grids import GridSpec
 from wavebound.initial_data import bound_constant, bump, get_data
 
 
@@ -67,8 +67,7 @@ def test_energy_u_zero_state():
     prof = get_profile("const:1")
     grid = solver.init_grid(data, prof, 1.0, n_points=501)
     u0 = np.asarray(data.u0(grid.x), dtype=float)
-    v0 = cumtrapz(u0, grid.h)
-    rec, _ = analysis.initial_record(u0, np.zeros_like(u0), v0, prof, grid)
+    rec, _ = analysis.initial_record(u0, np.zeros_like(u0), prof, grid)
     assert rec.E_u == 0.0
 
 
@@ -77,8 +76,7 @@ def test_energy_u_initial_bump_is_half_gradient_norm():
     prof = get_profile("const:1")
     grid = solver.init_grid(data, prof, 1.0, n_points=4001)
     u0 = np.asarray(data.u0(grid.x), dtype=float)
-    v0 = cumtrapz(u0, grid.h)
-    rec, _ = analysis.initial_record(u0, np.zeros_like(u0), v0, prof, grid)  # at rest
+    rec, _ = analysis.initial_record(u0, np.zeros_like(u0), prof, grid)  # at rest
     assert rec.E_u == pytest.approx(0.5 * bump_constants()["prime_l2_sq"], rel=1e-3)
 
 

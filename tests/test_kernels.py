@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import REPO, c_compiler
 from wavebound import kernels
+from wavebound.grids import cumtrapz
 from wavebound.initial_data import bump
 from wavebound.kernels import BACKEND, advance_steps
 from wavebound.kernels import reference
@@ -117,12 +118,10 @@ def snapshot_field(rng, size, scale):
 
 # lengths cross numpy's pairwise-sum boundaries at 8 and 128 terms, and 8001
 # is a grid size; scales reach subnormal squares, squares that overflow and
-# finite steps whose antiderivatives overflow; a step's factor may overflow
+# finite levels whose antiderivatives overflow; a step's factor may overflow
 # it, the current level may have +0.0 margins or be all +0.0, both levels
-# may be a band of +0.0 margins as in the cone, the antiderivatives may have
-# the cumulative trapezoid's tails (+0.0 on the left, one constant on the
-# right), and a non-finite value may sit in the current level and the
-# previous one
+# may be a band of +0.0 margins as in the cone, and a non-finite value may
+# sit in the current level and the previous one
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.one_of(st.integers(3, 300), st.just(8001)),
@@ -134,13 +133,12 @@ def snapshot_field(rng, size, scale):
     lam2=st.lists(st.one_of(st.floats(-2.0, 2.0), st.just(1e300)), min_size=7, max_size=7),
     special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
     current=st.sampled_from(["drawn", "margins", "zeros", "bands"]),
-    tails=st.booleans(),
 )
 def test_snapshot_pass_agrees_bit_for_bit(
-    compiled_backend, n, k, seed, scale, h, dt, lam2, special, current, tails
+    compiled_backend, n, k, seed, scale, h, dt, lam2, special, current
 ):
     rng = np.random.default_rng(seed)
-    u_prev, u_curr, v_prev, v_curr = (snapshot_field(rng, n, scale) for _ in range(4))
+    u_prev, u_curr = (snapshot_field(rng, n, scale) for _ in range(2))
     lam2 = np.array(lam2[:k])
 
     def band(*fields):
@@ -148,7 +146,6 @@ def test_snapshot_pass_agrees_bit_for_bit(
         for f in fields:
             f[:lo] = 0.0
             f[hi + 1 :] = 0.0
-        return lo, hi
 
     if current == "margins":
         band(u_curr)
@@ -156,14 +153,10 @@ def test_snapshot_pass_agrees_bit_for_bit(
         u_curr[:] = 0.0
     elif current == "bands":
         band(u_prev, u_curr)
-    if tails:
-        for v in (v_prev, v_curr):
-            _, hi = band(v)
-            v[hi + 1 :] = v[hi]
     if special is not None:
         u_curr[rng.integers(0, n)] = special
         u_prev[rng.integers(0, n)] = special
-    levels = (u_prev, u_curr, v_prev, v_curr)
+    levels = (u_prev, u_curr)
     before = [bits(f).copy() for f in levels]
     want = reference.snapshot_pass(*levels, h, dt, lam2)
     got = compiled_backend.snapshot_pass(*levels, h, dt, lam2)
@@ -181,10 +174,17 @@ def test_snapshot_pass_agrees_bit_for_bit(
     for f, was in zip(levels, before):
         assert np.array_equal(bits(f), was)
     # one-level calls, one per level, take the same levels, and the pass
-    # stops at the first whose step is not finite
+    # stops at the first whose step is not finite; each level is the
+    # one-level definition fed the cumulative trapezoids of its inputs
     chain = levels
     for i in range(m):
         one = reference.snapshot_pass(*chain, h, dt, lam2[i : i + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrals = [cumtrapz(f, h) for f in chain]
+        defined = reference._snapshot_level(*chain, *integrals, h, dt, lam2[i])
+        for snaps in (want, got):
+            assert np.array_equal(value_bits(defined[2]), value_bits(snaps.norms[i]))
+            assert tuple(snaps.extents[i]) == defined[4]
         assert np.array_equal(value_bits(one.norms), value_bits(got.norms[i : i + 1]))
         assert np.array_equal(one.extents, got.extents[i : i + 1])
         # the pass's step is the stepping kernel's step
@@ -200,21 +200,23 @@ def test_snapshot_pass_agrees_bit_for_bit(
 def test_reference_backend_is_silent_on_overflow():
     # as the compiled backend is: the caller reports the non-finite result
     u, _ = bump_field(n=201)
-    v = np.cumsum(u)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # 2 u overflows in the step, the squares of the fields in the snapshot pass
         big = np.full(51, 1e308)
         _, stepped = reference.advance_steps(big, big, np.full(3, 0.8))
-        snap_step = reference.snapshot_pass(big, big, big, big, 0.04, 0.03, 0.8)
+        snap_step = reference.snapshot_pass(big, big, 0.04, 0.03, 0.8)
         # a finite step whose levels' squares overflow
-        levels = [0.5e160 * u, 1e160 * u, 0.5e160 * v, 1e160 * v]
-        snap = reference.snapshot_pass(*levels, 0.04, 0.03, 0.8)
+        snap = reference.snapshot_pass(0.5e160 * u, 1e160 * u, 0.04, 0.03, 0.8)
+        # finite input levels whose antiderivatives overflow, as does the step's
+        wide = np.full(51, 0.6e308)
+        snap_wide = reference.snapshot_pass(wide, wide, 1.0, 1.0, 0.5)
     assert not np.all(np.isfinite(stepped))
     assert not snap_step.finite
     assert snap.finite
     norms = snap.norms[0].tolist()
     assert norms[:4] == [np.inf] * 4 and not any(map(np.isfinite, norms))
+    assert snap_wide.finite and not np.all(np.isfinite(snap_wide.norms[0]))
 
 
 @pytest.fixture(params=["python", "compiled"])
@@ -225,14 +227,13 @@ def pass_backend(request):
 
 
 def test_snapshot_pass_rejects_bad_arguments(pass_backend):
-    levels = [np.zeros(50)] * 3 + [np.zeros(49)]
-    with pytest.raises(ValueError, match="u_prev has 50 nodes but v_curr has 49"):
-        pass_backend(*levels, 0.1, 0.1, lam2=0.5)
     with pytest.raises(ValueError, match="u_prev has 50 nodes but u_curr has 49"):
-        pass_backend(np.zeros(50), np.zeros(49), np.zeros(50), np.zeros(50), 0.1, 0.1, 0.5)
+        pass_backend(np.zeros(50), np.zeros(49), 0.1, 0.1, 0.5)
+    with pytest.raises(ValueError, match="u_curr must be a 1-D array"):
+        pass_backend(np.zeros(50), np.zeros((1, 50)), 0.1, 0.1, 0.5)
     with pytest.raises(ValueError, match="at least 3 nodes"):
-        pass_backend(*[np.zeros(2)] * 4, 0.1, 0.1, lam2=0.5)
-    levels = [np.zeros(50)] * 4
+        pass_backend(*[np.zeros(2)] * 2, 0.1, 0.1, lam2=0.5)
+    levels = [np.zeros(50)] * 2
     with pytest.raises(ValueError, match="takes at least one lam2, got 0"):
         pass_backend(*levels, 0.1, 0.1, lam2=[])
     with pytest.raises(ValueError, match="lam2 must be a 1-D array"):
@@ -246,11 +247,12 @@ def test_a_finite_step_whose_antiderivative_overflows_is_finite(pass_backend):
     # the step stays finite, the running sum of its trapezoids overflows:
     # finiteness is the step's, not the antiderivative's
     u = np.full(50, 0.6e308)
-    v = np.zeros(50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        snap = pass_backend(u, u, v, v, 1.0, 1.0, [0.5, 0.5])
-    assert np.all(np.isfinite(snap.u_curr)) and not np.isfinite(snap.v_curr[-1])
+        snap = pass_backend(u, u, 1.0, 1.0, [0.5, 0.5])
+    assert np.all(np.isfinite(snap.u_curr))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(cumtrapz(snap.u_curr, 1.0)[-1])
     assert snap.finite and len(snap.norms) == 2
 
 
@@ -344,12 +346,14 @@ print(all(map(callable, names)))
 
 
 # a stale library from an older stencil.c: the one whose snapshot pass
-# returned raw sums, the one whose snapshot function took no step, and the
-# one whose snapshot pass took one level
+# returned raw sums, the one whose snapshot function took no step, the one
+# whose snapshot pass took one level, and the one whose pass took the
+# levels' antiderivatives
 STALE_SYMBOLS = {
     "stale": "snapshot_sums",
     "stale-norms": "snapshot_norms",
     "stale-pass": "snapshot_pass",
+    "stale-levels": "snapshot_levels",
 }
 
 
