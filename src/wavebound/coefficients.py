@@ -146,60 +146,60 @@ def total_variation(profile: CoefficientProfile, T: float) -> float:
     Chunked adaptive Simpson: |a'| may oscillate and has kinks at sign
     changes, which a single adaptive pass over a long interval can alias, so
     [0, T] is first split into chunks no longer than ``CHUNK_LENGTH`` and the
-    tolerance is divided across them. Raises :class:`AccuracyError`, with the
-    estimate attached, when some piece still disagrees at ``MAX_DEPTH``
+    tolerance is divided across them. All chunks are bisected at once, breadth
+    first, one array call of a' per depth. Raises :class:`AccuracyError`, with
+    the estimate attached, when some piece still disagrees at ``MAX_DEPTH``
     bisections or the result is not finite.
     """
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
 
     def f(s):
-        return abs(float(profile.a_prime(s)))
+        return np.abs(np.asarray(profile.a_prime(s), dtype=float))
 
     n = min(max(1, math.ceil(T / CHUNK_LENGTH)), MAX_CHUNKS)
-    edges = [T * k / n for k in range(n + 1)]
-    total = 0.0
-    converged = True
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        subtotal, chunk_converged = _adaptive_simpson(f, lo, hi, QUAD_TOL / n)
-        total += subtotal
-        converged = converged and chunk_converged
-    if not (converged and math.isfinite(total)):
+    edges = T * np.arange(n + 1) / n
+    a, b = edges[:-1], edges[1:]
+    f_edges = f(np.concatenate((edges, 0.5 * (a + b))))
+    fa, fb, fm = f_edges[:n], f_edges[1 : n + 1], f_edges[n + 1 :]
+    leaves = []  # (chunk, left end, contribution, converged) of the stopped pieces
+    # a non-finite sample makes inf - inf; its piece stops below, silently
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        pieces = np.array([a, b, fa, fm, fb, s, np.arange(n)])  # a column per open piece
+        for depth in range(MAX_DEPTH + 1):
+            a, b, fa, fm, fb, s, chunk = pieces
+            m = 0.5 * (a + b)
+            flm, frm = np.split(f(np.concatenate((0.5 * (a + m), 0.5 * (m + b)))), 2)
+            s_left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+            s_right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+            delta = s_left + s_right - s
+            # converged, or too narrow to bisect further in floating point
+            done = np.abs(delta) <= 15.0 * (QUAD_TOL / n) / 2**depth
+            done |= b - a <= 1e-15 * (np.abs(a) + np.abs(b) + 1.0)
+            # a non-finite sample never converges: stop, do not bisect to MAX_DEPTH
+            stop = done | ~np.isfinite(delta) | (depth == MAX_DEPTH)
+            part = s_left + s_right + delta / 15.0
+            leaves.append((chunk[stop], a[stop], part[stop], done[stop]))
+            if stop.all():
+                break
+            # the halves of the open pieces, left halves first
+            halves = [a, m, fa, flm, fm, s_left, chunk], [m, b, fm, frm, fb, s_right, chunk]
+            pieces = np.concatenate(halves, axis=1)[:, np.concatenate((~stop, ~stop))]
+    # the depth-first order: each chunk from 0.0 over descending left ends (right
+    # half first; ufunc.at adds in index order), then the chunks in turn
+    chunk, left, part, converged = (np.concatenate(column) for column in zip(*leaves))
+    order = np.argsort(-left)
+    subtotals = np.zeros(n)
+    np.add.at(subtotals, chunk[order].astype(int), part[order])
+    total = float(np.add.accumulate(subtotals)[-1])
+    if not (converged.all() and math.isfinite(total)):
         raise AccuracyError(
             f"profile {profile.name!r}: variation on [0, {T}] did not converge "
             f"to tol={QUAD_TOL} (estimate {total})",
             achieved=total,
         )
     return total
-
-
-def _adaptive_simpson(f, a, b, tol):
-    """Adaptive Simpson of ``f`` over [a, b]: (estimate, converged)."""
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    total = 0.0
-    converged = True
-    # (a, b, fa, fm, fb, Simpson estimate on [a, b], local tol, depth); the
-    # right half is pushed last, so it is summed first
-    stack = [(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)]
-    while stack:
-        a0, b0, fa0, fm0, fb0, s0, tol0, depth = stack.pop()
-        m0 = 0.5 * (a0 + b0)
-        flm, frm = f(0.5 * (a0 + m0)), f(0.5 * (m0 + b0))
-        s_left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        s_right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        delta = s_left + s_right - s0
-        # converged, or too narrow to bisect further in floating point
-        done = abs(delta) <= 15.0 * tol0 or (b0 - a0) <= 1e-15 * (abs(a0) + abs(b0) + 1.0)
-        # a non-finite sample never converges: stop instead of bisecting
-        # every piece down to MAX_DEPTH
-        if done or depth >= MAX_DEPTH or not math.isfinite(delta):
-            total += s_left + s_right + delta / 15.0
-            converged = converged and done
-        else:
-            stack.append((a0, m0, fa0, flm, fm0, s_left, 0.5 * tol0, depth + 1))
-            stack.append((m0, b0, fm0, frm, fb0, s_right, 0.5 * tol0, depth + 1))
-    return total, converged
 
 
 def tv_tail_estimate(profile: CoefficientProfile, T: float) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wavebound import kernels, solver
-from wavebound.coefficients import CoefficientProfile
+from wavebound.coefficients import CHUNK_LENGTH, MAX_CHUNKS, MAX_DEPTH, QUAD_TOL, CoefficientProfile
 from wavebound.config import ExperimentConfig
 from wavebound.initial_data import bump, bump_prime
 from wavebound.oracles import _panel_integrals
@@ -46,6 +46,45 @@ def formula_profile(name, a, a_prime):
         a_prime=lambda t: a_prime(np.asarray(t, dtype=float)),
         tv_tail_hint=lambda T: math.inf,
     )
+
+
+def depth_first_variation(profile, T):
+    """The variation quadrature as a depth-first scalar loop: (total, converged).
+
+    An oracle for ``coefficients.total_variation``: the same chunks, the same
+    adaptive Simpson stop rule and summation order, one scalar a' call per
+    sample. A converged finite total must equal the library's bit for bit,
+    and any other total the estimate its ``AccuracyError`` carries.
+    """
+
+    def f(s):
+        return abs(float(profile.a_prime(s)))
+
+    n = min(max(1, math.ceil(T / CHUNK_LENGTH)), MAX_CHUNKS)
+    edges = [T * k / n for k in range(n + 1)]
+    total = 0.0
+    converged = True
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
+        subtotal = 0.0
+        # the right half is pushed last, so it is summed first
+        stack = [(lo, hi, fa, fm, fb, (hi - lo) / 6.0 * (fa + 4.0 * fm + fb), QUAD_TOL / n, 0)]
+        while stack:
+            a0, b0, fa0, fm0, fb0, s0, tol0, depth = stack.pop()
+            m0 = 0.5 * (a0 + b0)
+            flm, frm = f(0.5 * (a0 + m0)), f(0.5 * (m0 + b0))
+            s_left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
+            s_right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
+            delta = s_left + s_right - s0
+            done = abs(delta) <= 15.0 * tol0 or (b0 - a0) <= 1e-15 * (abs(a0) + abs(b0) + 1.0)
+            if done or depth >= MAX_DEPTH or not math.isfinite(delta):
+                subtotal += s_left + s_right + delta / 15.0
+                converged = converged and done
+            else:
+                stack.append((a0, m0, fa0, flm, fm0, s_left, 0.5 * tol0, depth + 1))
+                stack.append((m0, b0, fm0, frm, fb0, s_right, 0.5 * tol0, depth + 1))
+        total += subtotal
+    return total, converged
 
 
 @lru_cache(maxsize=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import formula_profile
+from conftest import depth_first_variation, formula_profile
 from wavebound.coefficients import (
     classify,
     evaluate,
@@ -311,11 +311,27 @@ def test_total_variation_is_consistent_with_the_speed(name, t):
         assert tv == pytest.approx(gap, abs=1e-10)
 
 
+# a' on [0, 5], whose chunks are [k, k + 1]: NaN or +inf past t = 2, NaN only
+# at the chunk edge t = 2, NaN only at t = 1.25, a quarter point of [1, 2]
+NON_FINITE_DERIVATIVES = {
+    "nan-tail": lambda t: np.where(t > 2.0, np.nan, 0.0),
+    "inf-tail": lambda t: np.where(t > 2.0, np.inf, 1.0),
+    "nan-edge": lambda t: np.where(t == 2.0, np.nan, 1.0),
+    "nan-quarter": lambda t: np.where(t == 1.25, np.nan, 1.0),
+}
+
+
 def test_total_variation_of_non_finite_derivative_raises_with_achieved_estimate():
-    prof = formula_profile("broken", np.ones_like, lambda t: np.where(t > 2.0, np.nan, 0.0))
-    with pytest.raises(AccuracyError) as info:
-        total_variation(prof, 5.0)
-    assert info.value.achieved is not None and math.isnan(info.value.achieved)
+    # the suite turns a RuntimeWarning (say, from inf - inf) into an error
+    for name, a_prime in NON_FINITE_DERIVATIVES.items():
+        prof = formula_profile(name, np.ones_like, a_prime)
+        expected, converged = depth_first_variation(prof, 5.0)
+        assert not (converged and math.isfinite(expected))
+        with pytest.raises(AccuracyError) as info:
+            total_variation(prof, 5.0)
+        assert float.hex(info.value.achieved) == float.hex(expected), name
+        if name == "nan-tail":
+            assert math.isnan(info.value.achieved)
 
 
 def test_tail_estimates_shrink_with_horizon():

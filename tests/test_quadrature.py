@@ -4,14 +4,15 @@ The variation is the integral of |a'|, so each case is a profile whose
 derivative is the integrand under test.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import formula_profile
-from wavebound.coefficients import total_variation
+from conftest import depth_first_variation, formula_profile
+from wavebound.coefficients import MAX_DEPTH, get_profile, total_variation
 from wavebound.errors import AccuracyError
 
 
@@ -55,3 +56,48 @@ def test_linear_integrands_are_exact(a0, slope, T):
     prof = formula_profile("linear", lambda t: a0 + slope * t, lambda t: np.full_like(t, slope))
     exact = abs(slope) * T
     assert total_variation(prof, T) == pytest.approx(exact, abs=1e-9 * (1 + exact))
+
+
+def _integrand(kind, c, d, t0):
+    """a' of one drawn family: ``c`` and ``d`` scale it, ``t0`` places its break."""
+    if kind == "linear":
+        return lambda t: c + d * t
+    if kind == "cos":
+        return lambda t: c * np.cos(d * t)
+    if kind == "jump":
+        return lambda t: np.where(t < t0, c, d)
+    bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return lambda t: np.where(t > t0, bad, c)
+
+
+@given(
+    kind=st.sampled_from(["linear", "cos", "jump", "nan", "inf", "-inf"]),
+    c=st.floats(-3.0, 3.0),
+    d=st.floats(-3.0, 3.0),
+    share=st.floats(0.0, 1.0),
+    T=st.floats(0.1, 800.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_total_variation_matches_the_depth_first_oracle_bit_for_bit(kind, c, d, share, T):
+    prof = formula_profile(kind, np.ones_like, _integrand(kind, c, d, share * T))
+    expected, converged = depth_first_variation(prof, T)
+    if converged and math.isfinite(expected):
+        assert float.hex(total_variation(prof, T)) == float.hex(expected)
+    else:
+        with pytest.raises(AccuracyError) as info:
+            total_variation(prof, T)
+        assert float.hex(info.value.achieved) == float.hex(expected)
+
+
+def test_one_array_call_of_a_prime_per_depth():
+    # the depth-first scalar quadrature made about 28,000 calls here
+    prof = get_profile("example3")
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return prof.a_prime(t)
+
+    total_variation(dataclasses.replace(prof, a_prime=counted), 400.0)
+    assert 0 < len(calls) <= MAX_DEPTH + 2
+    assert all(isinstance(t, np.ndarray) and t.ndim == 1 for t in calls)
