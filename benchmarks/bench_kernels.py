@@ -1,15 +1,18 @@
 """Benchmark the compiled kernels against the numpy fallback.
 
-Runs the same multi-step advance through both backends, then one call of
-the ``refine`` benchmark workload's finest level (``const:1`` ``bump``,
-``t_end`` 3, 32001 nodes, the call ``solver.evolve_final`` makes), then the
-snapshot pass (each level's step, the antiderivatives and six squared
-trapezoid norms): one level per call on an 8001-node snapshot, as a run
-whose snapshots are apart calls it, and every level of the ``dense``
+Runs the same multi-step advance through both backends, then the three
+kernel calls of the ``refine`` benchmark workload (``const:1`` ``bump``,
+``t_end`` 3, 8001, 16001 and 32001 nodes, one call per level as
+``solver.evolve_final`` makes it), then the snapshot pass (each level's
+step, the antiderivatives and six squared trapezoid norms): one level per
+call on an 8001-node snapshot, as a run whose snapshots are apart calls
+it, and every level of the ``dense``
 benchmark workload's run in the one call ``solver.run`` makes (``example1``
 ``derivative-velocity``, ``t_end`` 50, 8001 nodes, one snapshot per step).
 It checks that the results are bit-identical and reports throughput,
-milliseconds per refine call and microseconds per snapshot. Build the
+milliseconds per refine call and microseconds per snapshot. The header says
+whether the CPU lists ``avx512f``, which selects the compiled step's 512-bit
+copy at load time, or "unknown" where /proc/cpuinfo is absent. Build the
 compiled kernel first (``python setup.py build_ext --inplace``), then
 invoke directly:
 
@@ -37,8 +40,11 @@ _stencil = (
 # nodes of the snapshot pass problem: the dense workload's grid size
 SNAPSHOT_POINTS = 8001
 
-# the refine workload's finest level
-REFINE_CONFIG = ExperimentConfig(profile="const:1", data="bump", t_end=3.0, n_points=32001)
+# the refine workload's levels
+REFINE_CONFIGS = [
+    ExperimentConfig(profile="const:1", data="bump", t_end=3.0, n_points=n)
+    for n in (8001, 16001, 32001)
+]
 
 # the dense workload's run: one snapshot per step
 DENSE_CONFIG = ExperimentConfig(
@@ -65,9 +71,20 @@ def time_backend(advance, u, lam2, repeats=5):
     return best, result
 
 
-def refine_problem():
-    """The arguments of the one kernel call ``evolve_final`` makes for REFINE_CONFIG."""
-    profile, _, grid, u0, u1, lam2 = solver._resolve(REFINE_CONFIG)
+def cpu_flag(flag):
+    """"yes" or "no" as /proc/cpuinfo lists ``flag``, or "unknown" without that file."""
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return "unknown"
+    flags = (line.partition(":")[2].split() for line in text.splitlines()
+             if line.startswith("flags"))
+    return "yes" if any(flag in line for line in flags) else "no"
+
+
+def refine_problem(config):
+    """The arguments of the one kernel call ``evolve_final`` makes for ``config``."""
+    profile, _, grid, u0, u1, lam2 = solver._resolve(config)
     return u0, solver.first_step(u0, u1, profile.a0, grid), lam2[1 : grid.n_steps]
 
 
@@ -119,18 +136,22 @@ def main():
     n_steps = int(sys.argv[2]) if len(sys.argv) > 2 else 2000
     u, lam2 = make_problem(n_points, n_steps)
     node_steps = n_points * n_steps
-    refine = refine_problem()
-    refine_nodes = f"{REFINE_CONFIG.n_points} nodes x {refine[2].size} steps"
+    refines = [refine_problem(config) for config in REFINE_CONFIGS]
+    refine_sizes = [f"{args[0].size} nodes x {args[2].size} steps" for args in refines]
     snapshot = snapshot_problem(SNAPSHOT_POINTS)
     dense = dense_problem()
     levels = dense[-1].size
     dense_levels = f"{DENSE_CONFIG.n_points} nodes, {levels} levels in one call"
     one_level = f"{SNAPSHOT_POINTS} nodes, one level per call"
 
+    print(f"cpu lists avx512f: {cpu_flag('avx512f')} (on x86-64, yes selects the compiled step's 512-bit copy)")
     t_py, out_py = time_backend(reference.advance_steps, u, lam2)
     print(f"python   backend: {t_py:8.4f} s   {node_steps / t_py / 1e6:8.1f} M node-steps/s")
-    r_py, refine_py = time_calls(reference.advance_steps, refine, calls=1, repeats=1)
-    print(f"python   refine level: {r_py * 1e3:8.1f} ms per call ({refine_nodes})")
+    refine_py = []
+    for args, size in zip(refines, refine_sizes):
+        r_py, out = time_calls(reference.advance_steps, args, calls=1, repeats=1)
+        refine_py.append((r_py, out))
+        print(f"python   refine level: {r_py * 1e3:8.1f} ms per call ({size})")
     s_py, snap_py = time_calls(reference.snapshot_pass, snapshot, calls=200)
     print(f"python   snapshot pass: {s_py * 1e6:8.1f} us per snapshot ({one_level})")
     d_py, dense_py = time_calls(reference.snapshot_pass, dense, calls=1, repeats=1)
@@ -143,9 +164,12 @@ def main():
     t_c, out_c = time_backend(_stencil.advance_steps, u, lam2)
     print(f"compiled backend: {t_c:8.4f} s   {node_steps / t_c / 1e6:8.1f} M node-steps/s")
     print(f"speedup: {t_py / t_c:.2f}x")
-    r_c, refine_c = time_calls(_stencil.advance_steps, refine, calls=1, repeats=3)
-    print(f"compiled refine level: {r_c * 1e3:8.1f} ms per call ({refine_nodes})")
-    print(f"refine speedup: {r_py / r_c:.2f}x")
+    refine_same = True
+    for args, size, (r_py, want) in zip(refines, refine_sizes, refine_py):
+        r_c, got = time_calls(_stencil.advance_steps, args, calls=1, repeats=3)
+        print(f"compiled refine level: {r_c * 1e3:8.1f} ms per call ({size}),"
+              f" speedup {r_py / r_c:.2f}x")
+        refine_same &= all(same_bits(w, g) for w, g in zip(want, got))
     s_c, snap_c = time_calls(_stencil.snapshot_pass, snapshot, calls=200)
     print(f"compiled snapshot pass: {s_c * 1e6:8.1f} us per snapshot ({one_level})")
     print(f"snapshot speedup: {s_py / s_c:.2f}x")
@@ -154,7 +178,7 @@ def main():
     print(f"dense run speedup: {d_py / d_c:.2f}x")
     identical = (
         np.array_equal(out_py, out_c)
-        and all(same_bits(w, g) for w, g in zip(refine_py, refine_c))
+        and refine_same
         and same_snapshots(snap_py, snap_c)
         and same_snapshots(dense_py, dense_c)
     )

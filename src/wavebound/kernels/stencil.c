@@ -17,7 +17,23 @@ static int live(double x)
     return bits != 0;
 }
 
+/* On x86-64, step is compiled twice, for AVX-512 and for the baseline, and
+   the dynamic loader picks one copy for this CPU when the library is
+   loaded. Both copies compile the same expression under -ffp-contract=off,
+   so they give the same bits. The wide copy matters where the field holds
+   subnormals (the scheme's precursor ahead of the front), which slow every
+   instruction that reads one. Elsewhere step is compiled once. */
+#if defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED_FOR_AVX512 __attribute__((target_clones("avx512f", "default")))
+#endif
+#endif
+#ifndef CLONED_FOR_AVX512
+#define CLONED_FOR_AVX512
+#endif
+
 /* The step at the nodes [lo, end) of the interior. */
+CLONED_FOR_AVX512
 static void step(double *restrict c, const double *restrict a,
                  const double *restrict b, ptrdiff_t lo, ptrdiff_t end, double lam)
 {

@@ -18,6 +18,8 @@ from wavebound.initial_data import bump, bump_prime
 from wavebound.oracles import _panel_integrals
 
 REPO = Path(__file__).resolve().parent.parent
+# the files setup.py builds the compiled kernel from
+BUILD_SOURCES = (REPO / "src" / "wavebound" / "kernels" / "stencil.c", REPO / "setup.py")
 
 
 @pytest.fixture(scope="session")
@@ -125,6 +127,26 @@ def c_compiler():
     return cc
 
 
+def fresh_library(directory, sources=BUILD_SOURCES):
+    """The compiled kernel library in ``directory`` if it was built from ``sources``.
+
+    That is, when it is newer than every source and loads with both kernel
+    functions; otherwise None. A library built from an older ``stencil.c``
+    may still load with both functions, so loading alone cannot tell.
+    """
+    path = kernels.library_path(directory)
+    if path is None:
+        return None
+    built = path.stat().st_mtime_ns
+    if any(source.stat().st_mtime_ns >= built for source in sources):
+        return None
+    try:
+        kernels.load(path)
+    except (OSError, AttributeError):
+        return None
+    return path
+
+
 @pytest.fixture(scope="session")
 def numpy_root(tmp_path_factory):
     """A directory holding a ``wavebound`` package with no compiled kernel."""
@@ -136,12 +158,12 @@ def compiled_root(tmp_path_factory):
     """A directory holding a ``wavebound`` package whose compiled kernel is built.
 
     That is the imported package's own directory when its library is built
-    in place. Otherwise the package is copied into a temporary directory and
-    ``setup.py build_ext`` builds the library into the copy, with the flags
-    setup.py gives it.
+    in place from the current sources (see ``fresh_library``). Otherwise the
+    package is copied into a temporary directory and ``setup.py build_ext``
+    builds the library into the copy, with the flags setup.py gives it.
     """
     package = Path(kernels.__file__).resolve().parent.parent
-    if kernels.library_path(package / "kernels") is not None:
+    if fresh_library(package / "kernels") is not None:
         return package.parent
     c_compiler()
     root = copy_package(tmp_path_factory.mktemp("compiled"))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import REPO, c_compiler
-from wavebound import kernels
+from conftest import REPO, c_compiler, fresh_library
+from wavebound import kernels, solver
+from wavebound.config import ExperimentConfig
 from wavebound.grids import cumtrapz
 from wavebound.initial_data import bump
 from wavebound.kernels import BACKEND, advance_steps
@@ -55,6 +56,17 @@ def test_one_cell_per_step_propagation():
     assert np.all(curr[outside] == 0.0)
 
 
+def snapshot_field(rng, size, scale):
+    """Normal draws times ``scale``, with zeros, -0.0 and subnormals mixed in."""
+    x = scale * rng.standard_normal(size)
+    pick = rng.random(size)
+    x[pick < 0.15] = 0.0
+    x[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    subnormal = (pick >= 0.3) & (pick < 0.4)
+    x[subnormal] = rng.integers(-(2**40), 2**40, int(subnormal.sum())) * 5e-324
+    return x
+
+
 def bits(u):
     """The IEEE bit patterns of a float64 array: -0.0 and NaN payloads count."""
     return np.ascontiguousarray(u).view(np.uint64)
@@ -90,30 +102,33 @@ def test_backends_are_bit_identical(compiled_steps):
     with_right=st.booleans(),
 )
 def test_backends_agree_bit_for_bit(compiled_steps, n, steps, seed, lam_max, with_right):
+    # signed zeros and subnormals mixed in, so a differing sign of zero or a
+    # subnormal flushed to zero would show; sizes up to 300 cover every
+    # remainder of a loop over vectors of eight lanes
     rng = np.random.default_rng(seed)
-
-    def field(size):
-        # signed zeros mixed in, so a differing sign of zero would show
-        return np.where(rng.random(size) < 0.3, -0.0, rng.standard_normal(size))
-
-    u_prev, u_curr = field(n), field(n)
+    u_prev, u_curr = snapshot_field(rng, n, 1.0), snapshot_field(rng, n, 1.0)
     lam2 = rng.uniform(0.0, lam_max, steps)
-    right = field(steps) if with_right else None
+    right = snapshot_field(rng, steps, 1.0) if with_right else None
     want = reference.advance_steps(u_prev, u_curr, lam2, right)
     got = compiled_steps(u_prev, u_curr, lam2, right)
     for w, g in zip(want, got):
         assert np.array_equal(bits(w), bits(g))
 
 
-def snapshot_field(rng, size, scale):
-    """Normal draws times ``scale``, with zeros, -0.0 and subnormals mixed in."""
-    x = scale * rng.standard_normal(size)
-    pick = rng.random(size)
-    x[pick < 0.15] = 0.0
-    x[(pick >= 0.15) & (pick < 0.3)] = -0.0
-    subnormal = (pick >= 0.3) & (pick < 0.4)
-    x[subnormal] = rng.integers(-(2**40), 2**40, int(subnormal.sum())) * 5e-324
-    return x
+def test_backends_agree_on_the_refine_precursor(compiled_steps):
+    # the refine workload's 16001-node level: the scheme's precursor runs
+    # ahead of the front and leaves subnormals that never reach zero, the
+    # values that are slowest to step
+    config = ExperimentConfig(profile="const:1", data="bump", t_end=3.0, n_points=16001)
+    profile, _, grid, u0, u1, lam2 = solver._resolve(config)
+    args = (u0, solver.first_step(u0, u1, profile.a0, grid), lam2[1 : grid.n_steps])
+    want = reference.advance_steps(*args)
+    got = compiled_steps(*args)
+    for w, g in zip(want, got):
+        assert np.array_equal(bits(w), bits(g))
+    final = got[1]
+    subnormals = np.count_nonzero((final != 0.0) & (np.abs(final) < np.finfo(float).tiny))
+    assert subnormals > 100
 
 
 # lengths cross numpy's pairwise-sum boundaries at 8 and 128 terms, and 8001
@@ -385,6 +400,42 @@ def test_the_numpy_kernel_runs_without_a_loadable_library(tmp_path, numpy_root, 
     assert result.returncode == 0, result.stderr
     reference_module = "wavebound.kernels.reference"
     assert result.stdout.split() == ["python", reference_module, reference_module]
+
+
+def test_parity_tests_skip_a_library_older_than_its_sources(tmp_path, compiled_root):
+    # a library built from an older stencil.c may load with both functions,
+    # so the parity tests take the in-place library only when it is newer
+    # than the files it is built from
+    built = kernels.library_path(compiled_root / "wavebound" / "kernels")
+    library = tmp_path / built.name
+    shutil.copy(built, library)
+    sources = (tmp_path / "stencil.c", tmp_path / "setup.py")
+
+    def touch(path, seconds):
+        os.utime(path, ns=(seconds * 10**9, seconds * 10**9))
+
+    for source in sources:
+        source.write_text("")
+        touch(source, 2 * 10**9)
+    touch(library, 10**9)
+    assert fresh_library(tmp_path, sources) is None
+    touch(library, 3 * 10**9)
+    assert fresh_library(tmp_path, sources) == library
+    for source in sources:
+        touch(source, 4 * 10**9)
+        assert fresh_library(tmp_path, sources) is None
+        touch(source, 2 * 10**9)
+    # newer than its sources but built without the snapshot pass
+    stub_dir = tmp_path / "stub"
+    stub_dir.mkdir()
+    stub = tmp_path / "stub.c"
+    stub.write_text("void advance_steps(void) {}\n")
+    subprocess.run(
+        [c_compiler(), "-shared", "-fPIC", "-o", str(stub_dir / built.name), str(stub)],
+        check=True, capture_output=True, timeout=120,
+    )
+    touch(stub_dir / built.name, 3 * 10**9)
+    assert fresh_library(stub_dir, sources) is None
 
 
 def plain_expression_steps(u_prev, u_curr, lam2, right=None):
