@@ -14,7 +14,7 @@ floor, "Cor1.2" for speeds of integrable variation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -50,25 +50,25 @@ CSV_COLUMNS = DiagnosticRecord._fields + ("bound_thm11", "bound_cor11", "bound_c
 
 @dataclass
 class DiagnosticSeries:
-    """Per-snapshot records plus run-level diagnostics."""
+    """Per-snapshot records and the per-snapshot values the checks take the worst of."""
 
     records: list
     profile: CoefficientProfile
     data: InitialData
     grid: GridSpec
-    recon_max_rel_err: float = 0.0
-    cone_ok: bool = True
-    dual_v_max_rel_err: Optional[float] = None
+    # per record: the reconstruction error and the nodes the field leaves the cone by
+    recon_err: list = field(default_factory=list)
+    cone_overshoot: list = field(default_factory=list)
+    # with the dual field: its errors and their times at the compared levels
+    dual_v: Optional[tuple] = None
 
-    def append(self, record: DiagnosticRecord, recon_err: float):
-        """Add a snapshot's record and its reconstruction error.
-
-        Raises SeriesError if the record holds a non-finite diagnostic.
-        """
+    def append(self, record: DiagnosticRecord, recon_err: float, cone_overshoot: int):
+        """Add a snapshot's record and check values; a non-finite record is a SeriesError."""
         if not all(math.isfinite(v) for v in record[1:]):
             raise SeriesError(f"non-finite diagnostic at t={record.t}")
         self.records.append(record)
-        self.recon_max_rel_err = max(self.recon_max_rel_err, recon_err)
+        self.recon_err.append(recon_err)
+        self.cone_overshoot.append(cone_overshoot)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(rec, name) for rec in self.records])
@@ -96,6 +96,27 @@ class BoundReport:
         out = asdict(self)
         out["pass"] = out.pop("passed")
         return out
+
+
+@dataclass(frozen=True)
+class Check:
+    """A check's worst value, the gate it must not exceed and the time of the
+    worst value. Margin and verdict are derived, so they cannot disagree."""
+
+    value: float
+    tol: float
+    at: Optional[float] = None
+
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "margin": self.tol - self.value, "pass": self.value <= self.tol}
+
+
+def worst(values, times, tol: float) -> Check:
+    """The largest of per-snapshot ``values`` at its time; 0.0 at no time for no snapshots."""
+    if not len(values):
+        return Check(0.0, tol)
+    k = int(np.argmax(values))
+    return Check(float(values[k]), tol, float(times[k]))
 
 
 @dataclass(frozen=True)
@@ -149,7 +170,7 @@ def energy_identity_residual(series: DiagnosticSeries):
     The time derivative is the forward difference between snapshots and the
     right side is evaluated at the interval midpoint, with the norm factor
     interpolated from the two endpoints. Returns the residual sequence and
-    its maximum absolute value.
+    the midpoints.
     """
     if len(series.records) < 3:
         raise SeriesError("need at least 3 records for the energy residual")
@@ -162,8 +183,7 @@ def energy_identity_residual(series: DiagnosticSeries):
     a_mid = np.asarray(series.profile.a(t_mid), dtype=float)
     ap_mid = np.asarray(series.profile.a_prime(t_mid), dtype=float)
     vx_mid = 0.5 * (l2vx[1:] + l2vx[:-1])
-    residuals = np.diff(e_v) / np.diff(t) - a_mid * ap_mid * vx_mid
-    return residuals, float(np.max(np.abs(residuals)))
+    return np.diff(e_v) / np.diff(t) - a_mid * ap_mid * vx_mid, t_mid
 
 
 def theorem_bound(
@@ -277,25 +297,42 @@ def envelope_report(series: DiagnosticSeries, flags: AssumptionFlags, epsilon: f
 
     For nondecreasing speeds the energy may grow at most like the squared
     speed ratio; for nonincreasing speeds with a positive floor it may not
-    grow at all. Each applicable envelope is checked at every snapshot.
+    grow at all. Each applicable envelope is a check of the largest excess
+    of E_v over its budget across the snapshots.
     """
     e_v = series.column("E_v")
     a_vals = series.column("a")
-    e0 = e_v[0]
+    t = series.times
     out = {}
     if flags.a2_holds:
-        budget = e0 * (a_vals / a_vals[0]) ** 2 * (1.0 + epsilon)
-        out["growth_envelope"] = {
-            "pass": bool(np.all(e_v <= budget)),
-            "max_excess": float(np.max(e_v - budget)),
-        }
+        budget = e_v[0] * (a_vals / a_vals[0]) ** 2 * (1.0 + epsilon)
+        out["growth_envelope"] = worst(e_v - budget, t, 0.0)
     if flags.a3_holds:
-        budget = e0 * (1.0 + epsilon)
-        out["monotone_envelope"] = {
-            "pass": bool(np.all(e_v <= budget)),
-            "max_excess": float(np.max(e_v - budget)),
-        }
+        out["monotone_envelope"] = worst(e_v - e_v[0] * (1.0 + epsilon), t, 0.0)
     return out
+
+
+def verify_checks(series: DiagnosticSeries, flags: AssumptionFlags, report: MomentReport, config):
+    """``verify``'s checks by name, as JSON. The identities are second order, so
+    their gates scale with (h / data width)^2, and the snapshot spacing squared
+    for the energy identity, with a generous constant."""
+    t = series.times
+    rel_h_sq = (series.grid.h / config.data_width) ** 2
+    field_tol = max(25.0 * rel_h_sq, 1e-9)
+    checks = {
+        "cone": worst(series.cone_overshoot, t, 0.0),
+        "reconstruction": worst(series.recon_err, t, field_tol),
+    }
+    if len(series.records) >= 3:
+        residuals, t_mid = energy_identity_residual(series)
+        e_scale = max(1.0, float(np.max(np.abs(series.column("E_v")))))
+        tol = 25.0 * e_scale * (float(np.max(np.diff(t))) ** 2 + rel_h_sq)
+        checks["energy_identity"] = worst(np.abs(residuals), t_mid, tol)
+    if report.v1_in_L2:
+        checks.update(envelope_report(series, flags, config.epsilon_bound))
+    if series.dual_v is not None:
+        checks["dual_v"] = worst(*series.dual_v, field_tol)
+    return {name: check.to_json_dict() for name, check in checks.items()}
 
 
 def write_csv(series: DiagnosticSeries, path: str, bounds: Optional[list] = None):

@@ -24,8 +24,6 @@ import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from wavebound import analysis, solver
 from wavebound.coefficients import AssumptionFlags, classify, get_profile, tv_tail_estimate
 from wavebound.config import ExperimentConfig, config_from_mapping, parse_config_file
@@ -207,47 +205,8 @@ def cmd_simulate(config: ExperimentConfig, archive: str = None) -> int:
 def cmd_verify(config: ExperimentConfig, dual_v: bool = False) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     ex = _experiment(config, dual_v=dual_v)
-    series = ex.series
-    grid = series.grid
-    eps = config.epsilon_bound
-
-    # engineering gates for the discretization checks: the identities are
-    # second order, so the tolerances scale with h^2 (and the snapshot
-    # spacing for the energy identity), with a generous constant
-    width = config.data_width
-    field_tol = max(25.0 * (grid.h / width) ** 2, 1e-9)
-    checks = {
-        "cone": {"pass": series.cone_ok},
-        "reconstruction": {
-            "max_rel_err": series.recon_max_rel_err,
-            "tol": field_tol,
-            "pass": series.recon_max_rel_err <= field_tol,
-        },
-    }
-
-    if len(series.records) >= 3:
-        residuals, res_max = analysis.energy_identity_residual(series)
-        spacing = float(np.max(np.diff(series.times)))
-        e_scale = max(1.0, float(np.max(np.abs(series.column("E_v")))))
-        res_tol = 25.0 * e_scale * (spacing**2 + (grid.h / width) ** 2)
-        checks["energy_identity"] = {
-            "max_abs_residual": res_max,
-            "tol": res_tol,
-            "pass": res_max <= res_tol,
-        }
-
-    if ex.report.v1_in_L2:
-        checks["envelopes"] = analysis.envelope_report(series, ex.flags, eps)
-
-    if dual_v:
-        checks["dual_v"] = {
-            "max_rel_err": series.dual_v_max_rel_err,
-            "tol": field_tol,
-            "pass": series.dual_v_max_rel_err <= field_tol,
-        }
-
     payload = _summary_dict(config, ex)
-    payload["checks"] = checks
+    payload["checks"] = analysis.verify_checks(ex.series, ex.flags, ex.report, config)
     return _emit(payload, os.path.join(config.output_dir, "verify.json"))
 
 

@@ -28,7 +28,7 @@ MAX_SPLITS = 20
 MAX_PANELS = 64 * PANELS
 # most points handed to a sampler in one call; bounds the temporaries
 BLOCK_POINTS = 8192
-# absolute tolerance of the velocity antiderivative table over the support
+# tolerance of the velocity antiderivative table, relative to max(1, ∫|u1|)
 V1_TOL = 1e-12
 
 
@@ -72,23 +72,27 @@ def _gauss(f, lo, hi, order=GAUSS_ORDER):
 
 
 def _panel_integrals(f, lo: float, hi: float, tol: float):
-    """Panel edges over ``[lo, hi]`` and the integral of ``f`` on each panel.
+    """Panel edges over ``[lo, hi]``, the integral of ``f`` on each panel, and the tolerance met.
 
     Starts from ``PANELS`` equal panels and bisects every panel whose two
-    Gauss orders differ by more than its share of the absolute tolerance
-    ``tol`` (its width over ``hi - lo``). Raises :class:`AccuracyError`,
-    with the achieved total attached, when a value is not finite or some
-    panel still disagrees after ``MAX_SPLITS`` rounds or ``MAX_PANELS``
-    panels.
+    Gauss orders differ by more than its share (its width over ``hi - lo``)
+    of ``tol`` times max(1, the first pass's sum of |panel integrals|), so
+    that roundoff in large values is not taken for an error. Raises
+    :class:`AccuracyError`, with the achieved total attached, when a value is
+    not finite or some panel still disagrees after ``MAX_SPLITS`` rounds or
+    ``MAX_PANELS`` panels.
     """
     edges = np.linspace(lo, hi, PANELS + 1)
-    for _ in range(MAX_SPLITS + 1):
+    for split in range(MAX_SPLITS + 1):
         a, b = edges[:-1], edges[1:]
         fine = _gauss(f, a, b)
+        if not split:
+            size = float(np.sum(np.abs(fine)))
+            tol *= size if 1.0 < size < np.inf else 1.0
         diff = np.abs(fine - _gauss(f, a, b, CHECK_ORDER))
         bad = ~(diff <= tol * (b - a) / (hi - lo))
         if not bad.any():
-            return edges, fine
+            return edges, fine, tol
         if not np.isfinite(diff).all() or edges.size + np.count_nonzero(bad) > MAX_PANELS:
             break
         edges = np.sort(np.concatenate((edges, 0.5 * (a[bad] + b[bad]))))
@@ -107,18 +111,19 @@ def _panel_integrals(f, lo: float, hi: float, tol: float):
 
 
 def _v1_evaluator(data: InitialData):
-    """Antiderivative of the initial velocity as a vectorized callable.
+    """Antiderivative of the initial velocity as a vectorized callable, and its tolerance.
 
-    Uses the family's closed form when available, otherwise a cumulative
-    composite Gauss-Legendre table over the support plus one Gauss rule
-    from the query point's panel edge to the point, evaluated in blocks of
-    queries so that no temporary grows with the number of points.
+    Uses the family's closed form (tolerance ``V1_TOL``) when available,
+    otherwise a cumulative composite Gauss-Legendre table over the support
+    plus one Gauss rule from the query point's panel edge to the point,
+    evaluated in blocks of queries so that no temporary grows with the
+    number of points.
     """
     if data.v1_exact is not None:
-        return lambda x: np.asarray(data.v1_exact(x), dtype=float)
+        return (lambda x: np.asarray(data.v1_exact(x), dtype=float)), V1_TOL
 
     L = data.support_radius
-    edges, panels = _panel_integrals(data.u1, -L, L, tol=V1_TOL)
+    edges, panels, tol = _panel_integrals(data.u1, -L, L, tol=V1_TOL)
     cum = np.concatenate(([0.0], np.cumsum(panels)))
 
     def evaluator(x):
@@ -132,7 +137,13 @@ def _v1_evaluator(data: InitialData):
             out[start : start + step] = cum[k] + _gauss(data.u1, edges[k], xs)
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
-    return evaluator
+    return evaluator, tol
+
+
+def _moment(data: InitialData):
+    """The velocity moment and the tolerance of the table it is read from."""
+    v1, tol = _v1_evaluator(data)
+    return float(v1(data.support_radius) - v1(-data.support_radius)), tol
 
 
 def moment(data: InitialData) -> float:
@@ -141,8 +152,7 @@ def moment(data: InitialData) -> float:
     It is the antiderivative's rise across the support: the family's closed
     form when it has one, the composite Gauss-Legendre table otherwise.
     """
-    v1 = _v1_evaluator(data)
-    return float(v1(data.support_radius) - v1(-data.support_radius))
+    return _moment(data)[0]
 
 
 def dalembert(data: InitialData, t: float, x, speed: float = 1.0):
@@ -151,7 +161,7 @@ def dalembert(data: InitialData, t: float, x, speed: float = 1.0):
     if speed <= 0.0:
         raise OracleError(f"speed must be positive, got {speed}")
     xs = np.asarray(x, dtype=float)
-    v1 = _v1_evaluator(data)
+    v1, _ = _v1_evaluator(data)
     u0 = lambda y: np.asarray(data.u0(y), dtype=float)
     right = xs - speed * t
     left = xs + speed * t
@@ -204,7 +214,7 @@ def i0_squared(data: InitialData, a0: float) -> OracleResult:
     The trapezoid samples in blocks of ``BLOCK_POINTS`` nodes.
     """
     L = data.support_radius
-    v1 = _v1_evaluator(data)
+    v1, _ = _v1_evaluator(data)
     u0_fn = lambda x: np.asarray(data.u0(x), dtype=float)
 
     n = 1 << 17
@@ -233,9 +243,9 @@ def growth_slope(data: InitialData, speed: float = 1.0) -> OracleResult:
     """
     if speed <= 0.0:
         raise OracleError(f"speed must be positive, got {speed}")
-    m = moment(data)
+    m, tol = _moment(data)
     return OracleResult(
         value=m * m / (2.0 * speed),
-        error_estimate=abs(m) * V1_TOL / speed,
+        error_estimate=abs(m) * tol / speed,
         method="moment-closed-form",
     )

@@ -212,7 +212,7 @@ def run(
 
     At each snapshot level the three surrounding field levels and their
     antiderivatives (cumulative trapezoids) are used for centered time
-    differences, and the cone containment is verified to be machine-exact.
+    differences, and the nodes by which the field leaves the cone are kept.
     The step to the level after a snapshot is taken in the snapshot's
     kernel pass; BlowUpError names it when it is not finite, before that
     snapshot is checked or recorded. Each run of consecutive snapshot levels
@@ -224,14 +224,10 @@ def run(
     levels = _snapshot_levels(grid.n_steps, config.snapshots)
     cone_lo, cone_hi = _cone_limits(data, grid, levels)
 
-    with (
-        open(archive_path, "wb") if archive_path else nullcontext()
-    ) as archive:
-        series = analysis.DiagnosticSeries(
-            records=[], profile=profile, data=data, grid=grid
-        )
-        series.append(*analysis.initial_record(u0, u1, profile, grid))
-        series.cone_ok &= _cone_exact(nonzero_extent(u0 != 0.0), cone_lo[0], cone_hi[0])
+    with open(archive_path, "wb") if archive_path else nullcontext() as archive:
+        series = analysis.DiagnosticSeries(records=[], profile=profile, data=data, grid=grid)
+        over = _cone_overshoot(nonzero_extent(u0 != 0.0), cone_lo[0], cone_hi[0])
+        series.append(*analysis.initial_record(u0, u1, profile, grid), int(over))
         if archive:
             _write_archive_record(archive, 0.0, u0)
 
@@ -254,18 +250,17 @@ def run(
             )
             # the pass ends at a level whose step is not finite, and so does the run
             kept = len(snaps.norms) if snaps.finite else len(snaps.norms) - 1
-            for j in range(kept):
-                series.cone_ok &= _cone_exact(
-                    snaps.extents[j].tolist(), cone_lo[start + j], cone_hi[start + j]
-                )
-                t = (level + j) * grid.dt
-                series.append(*analysis.snapshot_record(t, snaps.norms[j].tolist(), profile))
+            lo, hi = cone_lo[start : start + kept], cone_hi[start : start + kept]
+            over = _cone_overshoot(snaps.extents[:kept], lo, hi).tolist()
+            for j, nodes in enumerate(over):
+                t, norms = (level + j) * grid.dt, snaps.norms[j].tolist()
+                series.append(*analysis.snapshot_record(t, norms, profile), nodes)
             if not snaps.finite:
                 raise BlowUpError(level + kept + 1)
             level += kept
             u_prev, u_curr = snaps.u_prev, snaps.u_curr
         if dual is not None:
-            series.dual_v_max_rel_err = dual.max_rel_err
+            series.dual_v = (dual.errors, dual.times)
         return series
 
 
@@ -297,7 +292,7 @@ def _level_runs(levels: np.ndarray, split: bool) -> list:
 
 
 def _cone_limits(data: InitialData, grid: GridSpec, levels) -> tuple:
-    """The nodes [lo, hi) inside the numerical cone at each of ``levels``, as two lists.
+    """The nodes [lo, hi) inside the numerical cone at each of ``levels``, as two arrays.
 
     A field at a level is exactly zero outside the cone when it is nonzero
     only at nodes in [lo, hi): the nodes where |x| <= support + level h + h/2.
@@ -307,17 +302,14 @@ def _cone_limits(data: InitialData, grid: GridSpec, levels) -> tuple:
     # |x| > thr is x < -thr or x > thr; the nodes are sorted
     lo = np.searchsorted(grid.x, -thr, side="left")
     hi = np.searchsorted(grid.x, thr, side="right")
-    return lo.tolist(), hi.tolist()
+    return lo, hi
 
 
-def _cone_exact(extent, lo: int, hi: int) -> bool:
-    """Whether a field is exactly zero outside the cone's nodes [lo, hi).
-
-    ``extent`` is the first and last node where the field is nonzero, as
-    the snapshot pass reports it: ``(n, -1)`` for a field of zeros.
-    """
-    first, last = extent
-    return bool(lo <= first and last < hi)
+def _cone_overshoot(extents, lo, hi):
+    """Nodes by which each nonzero extent (first, last), ``(n, -1)`` for a field
+    of zeros, leaves the cone's nodes [lo, hi); 0 means exactly zero outside."""
+    first, last = np.asarray(extents).T
+    return np.maximum(np.maximum(lo - first, last - (hi - 1)), 0)
 
 
 def _write_archive_record(fh, t: float, u: np.ndarray):
@@ -347,10 +339,10 @@ class _DualVState:
         self.v_prev = v0
         self.v_curr = first_step(v0, v1, a0, grid)
         self.v_curr[-1] = self.mass0 + grid.dt * self.c0
-        self.max_rel_err = 0.0
+        self.errors, self.times = [], []
 
     def compare(self, level: int, u: np.ndarray):
-        """Step to ``level`` and record the error against the antiderivative of ``u``."""
+        """Step to ``level``; record its time and the error against the antiderivative of ``u``."""
         if level > self.level:
             steps = np.arange(self.level, level)
             right = self.mass0 + (steps + 1) * self.grid.dt * self.c0
@@ -361,4 +353,5 @@ class _DualVState:
         v_ref = cumtrapz(u, self.grid.h)
         diff = math.sqrt(trapz_sq(self.v_curr - v_ref, self.grid.h))
         scale = max(1.0, math.sqrt(trapz_sq(v_ref, self.grid.h)))
-        self.max_rel_err = max(self.max_rel_err, diff / scale)
+        self.errors.append(diff / scale)
+        self.times.append(level * self.grid.dt)

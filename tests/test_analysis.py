@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import bump_constants
 from wavebound import analysis, solver
 from wavebound.analysis import (
     BoundReport,
+    Check,
     DiagnosticRecord,
     DiagnosticSeries,
     energy_identity_residual,
@@ -14,6 +17,7 @@ from wavebound.analysis import (
     l2_norm_sq,
     theorem_bound,
     verify_bound,
+    worst,
     write_csv,
 )
 from wavebound.coefficients import AssumptionFlags, classify, get_profile
@@ -87,16 +91,16 @@ def test_energy_u_initial_bump_is_half_gradient_norm():
 
 def test_residual_zero_for_zero_data(run_cache):
     series = run_cache(profile="example2a", data="bump", data_scale=0.0, t_end=2.0, n_points=501, snapshots=10)
-    residuals, rmax = energy_identity_residual(series)
-    assert rmax == 0.0
+    residuals, t_mid = energy_identity_residual(series)
     assert np.all(residuals == 0.0)
+    assert np.array_equal(t_mid, 0.5 * (series.times[1:] + series.times[:-1]))
 
 
 def test_residual_small_for_constant_speed(run_cache):
     series = run_cache(profile="const:1", data="odd-velocity", t_end=10.0, n_points=2001, snapshots=100)
-    _, rmax = energy_identity_residual(series)
+    residuals, _ = energy_identity_residual(series)
     # pure drift of a conserved energy
-    assert rmax < 1e-6
+    assert np.max(np.abs(residuals)) < 1e-6
 
 
 def test_residual_needs_three_records():
@@ -233,7 +237,7 @@ def test_growth_envelope_for_rising_speed(run_cache):
     series = run_cache(profile="example1", data="derivative-velocity", t_end=20.0, n_points=2001, snapshots=100)
     flags = classify(get_profile("example1"), 80.0)
     out = envelope_report(series, flags, 0.02)
-    assert out["growth_envelope"]["pass"]
+    assert out["growth_envelope"].to_json_dict()["pass"]
     assert "monotone_envelope" not in out
 
 
@@ -241,7 +245,32 @@ def test_monotone_envelope_for_decaying_speed(run_cache):
     series = run_cache(profile="example2a", data="odd-velocity", t_end=20.0, n_points=2001, snapshots=100)
     flags = classify(get_profile("example2a"), 80.0)
     out = envelope_report(series, flags, 0.02)
-    assert out["monotone_envelope"]["pass"]
+    assert out["monotone_envelope"].to_json_dict()["pass"]
+
+
+# ---------------------------------------------------------------------------
+# check records
+# ---------------------------------------------------------------------------
+
+
+def test_check_past_its_gate_fails_at_the_worst_snapshot():
+    # the first of two equal worst values gives the time
+    check = worst([0.1, 0.7, 0.3, 0.7], np.array([0.0, 0.5, 1.0, 1.5]), 0.25)
+    assert check == Check(0.7, 0.25, 0.5)
+    out = check.to_json_dict()
+    assert out == {"value": 0.7, "tol": 0.25, "margin": 0.25 - 0.7, "pass": False, "at": 0.5}
+    assert out["pass"] is False and out["margin"] < 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check.value = 0.0
+
+
+def test_check_at_its_gate_passes_and_no_snapshot_reads_zero():
+    assert worst([-1.0, 0.0], [2.0, 3.0], 0.0).to_json_dict() == {
+        "value": 0.0, "tol": 0.0, "margin": 0.0, "pass": True, "at": 3.0,
+    }
+    assert worst([], [], 1e-9).to_json_dict() == {
+        "value": 0.0, "tol": 1e-9, "margin": 1e-9, "pass": True, "at": None,
+    }
 
 
 # ---------------------------------------------------------------------------

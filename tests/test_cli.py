@@ -332,7 +332,7 @@ def test_verify_passes_for_decaying_profile(tmp_path):
     checks = payload["checks"]
     assert checks["cone"]["pass"] and checks["reconstruction"]["pass"]
     assert checks["energy_identity"]["pass"] and checks["dual_v"]["pass"]
-    assert checks["envelopes"]["monotone_envelope"]["pass"]
+    assert checks["monotone_envelope"]["pass"]
     assert {b["theorem"] for b in payload["bounds"]} == {"Cor1.1", "Cor1.2"}
     assert all(b["pass"] for b in payload["bounds"])
 
@@ -352,7 +352,7 @@ def test_verify_oscillating_profile_uses_variation_bound(tmp_path):
     payload = json.loads((out / "verify.json").read_text())
     assert [b["theorem"] for b in payload["bounds"]] == ["Cor1.2"]
     assert payload["bounds"][0]["pass"] is True
-    assert "envelopes" not in payload["checks"] or payload["checks"]["envelopes"] == {}
+    assert set(payload["checks"]) == {"cone", "reconstruction", "energy_identity"}
 
 
 def test_verify_zero_horizon_with_dual_v(tmp_path):
@@ -360,7 +360,7 @@ def test_verify_zero_horizon_with_dual_v(tmp_path):
     argv = ("verify", "--profile", "const:1", "--data", "bump", "--t-end", "0", "--dual-v")
     assert run_cli(*argv, "--out", str(out)) == 0
     dual_v = json.loads((out / "verify.json").read_text())["checks"]["dual_v"]
-    assert dual_v["max_rel_err"] == 0.0 and dual_v["pass"] is True
+    assert dual_v["value"] == 0.0 and dual_v["pass"] is True and dual_v["at"] is None
 
 
 def test_decaying_speed_bound_divides_by_the_speed_floor(tmp_path):
@@ -404,6 +404,56 @@ def test_exit_status_reflects_pass_fields(tmp_path, capsys):
     assert _emit({"checks": {"pass": True}}, str(tmp_path / "ok.json")) == 0
     assert _emit({"checks": [{"pass": False}]}, str(tmp_path / "bad.json")) == 1
     capsys.readouterr()
+
+
+CHECK_KEYS = {"value", "tol", "margin", "pass", "at"}
+
+
+@pytest.mark.parametrize("dual_v", [False, True], ids=["plain", "dual-v"])
+@pytest.mark.parametrize("profile", ["const:1", "example1", "example2a", "example2b", "example3"])
+def test_every_check_has_the_same_five_keys(tmp_path, capsys, profile, dual_v):
+    out = tmp_path / "ver"
+    argv = ["verify", "--profile", profile, "--data", "odd-velocity", "--t-end", "2",
+            "--n-points", "201", "--snapshots", "10", "--out", str(out)]
+    assert run_cli(*argv, *(["--dual-v"] if dual_v else [])) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    checks = payload["checks"]
+    flags = payload["classification"]
+    want = {"cone", "reconstruction", "energy_identity"}
+    want |= {"growth_envelope"} if flags["a2_holds"] else set()
+    want |= {"monotone_envelope"} if flags["a3_holds"] else set()
+    want |= {"dual_v"} if dual_v else set()
+    assert set(checks) == want
+    for name, check in checks.items():
+        assert set(check) == CHECK_KEYS, name
+        assert check["margin"] == check["tol"] - check["value"], name
+        assert check["pass"] is (check["value"] <= check["tol"]) is True, name
+        assert 0.0 <= check["at"] <= 2.0, name
+
+
+def test_verify_exits_1_when_a_check_fails(tmp_path, capsys):
+    # with no slack the discrete energy of v rises past the growth envelope
+    out = tmp_path / "ver"
+    argv = ("verify", "--profile", "example1", "--data", "bump", "--t-end", "10",
+            "--n-points", "401", "--epsilon", "0", "--out", str(out))
+    assert run_cli(*argv) == 1
+    payload = json.loads((out / "verify.json").read_text())
+    failed = {name: c for name, c in payload["checks"].items() if not c["pass"]}
+    assert list(failed) == ["growth_envelope"]
+    check = failed["growth_envelope"]
+    assert check["value"] > check["tol"] == 0.0 and check["margin"] < 0.0
+    assert 0.0 < check["at"] <= 10.0
+    assert all(b["pass"] for b in payload["bounds"])
+
+
+@pytest.mark.parametrize("scale", ["1e5", "1e8"])
+@pytest.mark.parametrize("data", ["odd-velocity", "bump-velocity"])
+def test_large_data_scale_meets_the_velocity_table_tolerance(tmp_path, capsys, data, scale):
+    # the table's tolerance is relative to the velocity's absolute integral,
+    # so the roundoff of large values is not taken for a quadrature error
+    argv = ("simulate", "--profile", "example2a", "--data", data, "--t-end", "1",
+            "--data-scale", scale, "--out", str(tmp_path / "big"))
+    assert run_cli(*argv) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +703,8 @@ def test_dense_dual_v_errors_are_unchanged(tmp_path, capsys, data, extra, dual_e
     )
     assert code == 0
     checks = json.loads((out / "verify.json").read_text())["checks"]
-    assert checks["dual_v"]["max_rel_err"] == dual_err
-    assert checks["reconstruction"]["max_rel_err"] == recon_err
+    assert checks["dual_v"]["value"] == dual_err
+    assert checks["reconstruction"]["value"] == recon_err
 
 
 # sha256 of each JSON output of one small job, with the output directory and
@@ -673,7 +723,9 @@ def test_dense_dual_v_errors_are_unchanged(tmp_path, capsys, data, extra, dual_e
             "verify.json",
             ("verify", "--profile", "example2a", "--data", "odd-velocity", "--t-end", "10",
              "--n-points", "1001", "--snapshots", "40", "--dual-v"),
-            "fddd60c3ba257ddf09dc8f3d05417693007c20336ab0fae85581576419a6d22b",
+            # recorded with the flat check table: each check's value, tol,
+            # margin, pass and at; the values are the earlier maxima bit for bit
+            "4c9035cff8d5b4f2d05532df676224f4c868724d96741aa31097478e57fd7315",
         ),
         (
             "converge.json",

@@ -16,6 +16,7 @@ from wavebound.oracles import (
     dalembert,
     growth_slope,
     i0_squared,
+    moment,
 )
 
 FAMILIES = ("bump", "bump-velocity", "odd-velocity", "derivative-velocity")
@@ -130,7 +131,7 @@ def test_v1_matches_dense_cumulative_simpson(family, scale, shift, width):
         get_data(family, scale=scale, shift=shift, width=width), v1_exact=None
     )
     nodes, ref = dense_v1(data)
-    v1 = _v1_evaluator(data)
+    v1, _ = _v1_evaluator(data)
     L = data.support_radius
     assert np.max(np.abs(v1(nodes[::16]) - ref[::16])) <= 1e-10
     assert v1(-L - 1.0) == 0.0
@@ -142,12 +143,12 @@ def test_v1_bisects_panels_for_narrow_far_shifted_data():
     # bisected before the two Gauss orders agree
     data = get_data("odd-velocity", scale=2.0, shift=10.0, width=0.1)
     nodes, ref = dense_v1(data, n=1 << 17)
-    assert np.max(np.abs(_v1_evaluator(data)(nodes) - ref)) <= 1e-10
+    assert np.max(np.abs(_v1_evaluator(data)[0](nodes) - ref)) <= 1e-10
 
 
 def test_v1_query_order_duplicates_outside_and_scalar():
     data = get_data("bump-velocity", scale=1.3, shift=0.2)
-    v1 = _v1_evaluator(data)
+    v1, _ = _v1_evaluator(data)
     L = data.support_radius
     xs = np.array([0.9, -3.0, 0.1, L, 0.1, -L, -0.5, 5.0, 0.9, 0.33])
     vals = v1(xs)
@@ -207,7 +208,7 @@ def test_blocks_bound_the_temporaries(family):
     # (the result, the trapezoid nodes) stays below another full length
     full = 8 * ((1 << 17) + 1)
     data = get_data(family, scale=1.5, shift=0.3)
-    v1 = _v1_evaluator(data)  # imports the Gauss rules outside the trace
+    v1, _ = _v1_evaluator(data)  # imports the Gauss rules outside the trace
     if data.v1_exact is None:
         x = np.linspace(-2.0, 2.0, (1 << 17) + 1)
         assert traced_peak(lambda: v1(x)) < 2 * full
@@ -310,6 +311,18 @@ def test_growth_slope_translation_invariant():
     base = growth_slope(get_data("bump-velocity"))
     shifted = growth_slope(get_data("bump-velocity", shift=0.37))
     assert shifted.value == pytest.approx(base.value, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e8])
+def test_moment_scales_linearly_with_the_data_scale(scale):
+    # the table's tolerance grows with the velocity's absolute integral, so
+    # large data neither fails it on roundoff nor loses relative accuracy
+    base = moment(get_data("bump-velocity"))
+    assert moment(get_data("bump-velocity", scale=scale)) == pytest.approx(scale * base, rel=1e-12)
+    assert abs(moment(get_data("odd-velocity", scale=scale))) <= 1e-12 * scale
+    # the slope's error estimate carries the same relative tolerance
+    res = growth_slope(get_data("bump-velocity", scale=scale))
+    assert res.error_estimate == pytest.approx(2e-12 * res.value, rel=1e-9)
 
 
 def test_growth_slope_input_validation():
