@@ -14,7 +14,7 @@ floor, "Cor1.2" for speeds of integrable variation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -81,21 +81,6 @@ class DiagnosticSeries:
     def measured_sup(self) -> float:
         """The largest squared norm over the snapshots; the bounds are checked against it."""
         return float(np.max(self.column("l2_u_sq")))
-
-
-@dataclass
-class BoundReport:
-    theorem: str
-    bound_value: float
-    measured_sup: float = math.nan
-    margin: float = math.nan
-    passed: Optional[bool] = None
-    epsilon: float = 0.02
-
-    def to_json_dict(self) -> dict:
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        return out
 
 
 @dataclass(frozen=True)
@@ -187,12 +172,10 @@ def energy_identity_residual(series: DiagnosticSeries):
 
 
 def theorem_bound(
-    flags: AssumptionFlags,
-    report: MomentReport,
-    profile: CoefficientProfile,
-    epsilon: float = 0.02,
-) -> list:
-    """Closed-form bound skeletons for every statement whose hypotheses hold.
+    flags: AssumptionFlags, report: MomentReport, profile: CoefficientProfile
+) -> dict:
+    """Closed-form bound of every statement whose hypotheses hold, by label,
+    in ``BOUND_LABELS`` order.
 
     Raises HypothesisError in the growth regime, WaveboundError when no
     statement applies, and ProfileError when a bound is not finite.
@@ -210,37 +193,27 @@ def theorem_bound(
         )
     # a' <= 0 makes E_v nonincreasing, so a^2 ||u||^2 = a^2 ||v_x||^2 <= 2 E_v(0) = I0^2
     floor_bound = report.I0_sq / (flags.A0 * flags.A0)
-    out = []
+    out = {}
     if flags.a2_holds:
-        a0 = profile.a0
-        out.append(BoundReport("Thm1.1", report.I0_sq / (a0 * a0), epsilon=epsilon))
+        out["Thm1.1"] = report.I0_sq / (profile.a0 * profile.a0)
     if flags.a3_holds:
-        out.append(BoundReport("Cor1.1", floor_bound, epsilon=epsilon))
+        out["Cor1.1"] = floor_bound
     if flags.a4_holds:
-        grow = math.exp((2.0 / flags.A0) * flags.tv_total)
-        out.append(BoundReport("Cor1.2", floor_bound * grow, epsilon=epsilon))
-    for rep in out:
-        if not math.isfinite(rep.bound_value):
+        out["Cor1.2"] = floor_bound * math.exp((2.0 / flags.A0) * flags.tv_total)
+    for label, bound in out.items():
+        if not math.isfinite(bound):
             # an overflowing bound would pass every check vacuously
             raise ProfileError(
-                f"the {rep.theorem} bound overflows (I0^2={report.I0_sq:.6g}, "
+                f"the {label} bound overflows (I0^2={report.I0_sq:.6g}, "
                 f"a0={profile.a0:.6g}, A0={flags.A0:.6g}): the speed floor is too "
                 "small for a finite bound"
             )
     return out
 
 
-def verify_bound(series: DiagnosticSeries, skeleton: BoundReport) -> BoundReport:
-    """Fill a bound skeleton with the measured supremum and the verdict."""
-    if not series.records:
-        raise SeriesError("empty series")
-    measured = series.measured_sup
-    return replace(
-        skeleton,
-        measured_sup=measured,
-        margin=skeleton.bound_value - measured,
-        passed=measured <= skeleton.bound_value * (1.0 + skeleton.epsilon),
-    )
+def verify_bound(series: DiagnosticSeries, bound: float, epsilon: float) -> Check:
+    """The check of the largest squared norm against ``bound`` with relative slack ``epsilon``."""
+    return worst(series.column("l2_u_sq"), series.times, bound * (1.0 + epsilon))
 
 
 def _window_mask(t: np.ndarray, window, *, positive: bool = False) -> np.ndarray:
@@ -335,15 +308,15 @@ def verify_checks(series: DiagnosticSeries, flags: AssumptionFlags, report: Mome
     return {name: check.to_json_dict() for name, check in checks.items()}
 
 
-def write_csv(series: DiagnosticSeries, path: str, bounds: Optional[list] = None):
+def write_csv(series: DiagnosticSeries, path: str, bounds: Optional[dict] = None):
     """Write the time series in the documented column order.
 
-    Bound columns repeat the run-level bound value on every row; bounds whose
-    hypotheses do not hold are emitted as empty fields. Floats use full
-    round-trip precision.
+    Bound columns repeat the run-level bound of ``bounds`` (by label) on every
+    row; bounds whose hypotheses do not hold are emitted as empty fields.
+    Floats use full round-trip precision.
     """
-    by_label = {rep.theorem: repr(rep.bound_value) for rep in bounds or []}
-    bound_cells = [by_label.get(label, "") for label in BOUND_LABELS]
+    bounds = bounds or {}
+    bound_cells = [repr(bounds[label]) if label in bounds else "" for label in BOUND_LABELS]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in series.records:

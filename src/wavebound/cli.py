@@ -100,14 +100,14 @@ def load_config(args) -> ExperimentConfig:
 
 
 class Experiment(NamedTuple):
-    """One run with its classification, moment report and bound verdicts."""
+    """One run with its classification, moment report and bounds."""
 
     series: analysis.DiagnosticSeries
     flags: AssumptionFlags
     horizon: float
     report: MomentReport
-    # checked bounds; empty in the growth regime
-    bounds: list
+    # closed-form bounds by label; empty in the growth regime
+    bounds: dict
 
     @property
     def hypothesis_violation(self) -> bool:
@@ -119,12 +119,7 @@ def _experiment(config: ExperimentConfig, archive_path=None, dual_v=False) -> Ex
     horizon = max(4.0 * config.t_end, 1.0)
     flags = classify(series.profile, horizon)
     report = bound_constant(series.data, series.profile.a0, series.grid)
-    bounds = []
-    if report.v1_in_L2:
-        skeletons = analysis.theorem_bound(
-            flags, report, series.profile, epsilon=config.epsilon_bound
-        )
-        bounds = [analysis.verify_bound(series, sk) for sk in skeletons]
+    bounds = analysis.theorem_bound(flags, report, series.profile) if report.v1_in_L2 else {}
     return Experiment(series, flags, horizon, report, bounds)
 
 
@@ -139,7 +134,8 @@ def _growth_section(config, series):
 
 
 def _summary_dict(config, ex: Experiment, growth=False):
-    """The blocks every summary shares; ``growth`` also in the bounded regime."""
+    """The blocks every summary shares, with a check per bound; ``growth``
+    also in the bounded regime."""
     series = ex.series
     moment = dataclasses.asdict(ex.report)
     if not ex.report.v1_in_L2:
@@ -157,7 +153,11 @@ def _summary_dict(config, ex: Experiment, growth=False):
         "moment": moment,
         "measured_sup": series.measured_sup,
         "hypothesis_violation": ex.hypothesis_violation,
-        "bounds": [rep.to_json_dict() for rep in ex.bounds],
+        "bounds": ex.bounds,
+        "checks": {
+            label: analysis.verify_bound(series, bound, config.epsilon_bound).to_json_dict()
+            for label, bound in ex.bounds.items()
+        },
     }
     if growth or ex.hypothesis_violation:
         summary["growth"] = _growth_section(config, series)
@@ -206,7 +206,7 @@ def cmd_verify(config: ExperimentConfig, dual_v: bool = False) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     ex = _experiment(config, dual_v=dual_v)
     payload = _summary_dict(config, ex)
-    payload["checks"] = analysis.verify_checks(ex.series, ex.flags, ex.report, config)
+    payload["checks"].update(analysis.verify_checks(ex.series, ex.flags, ex.report, config))
     return _emit(payload, os.path.join(config.output_dir, "verify.json"))
 
 
@@ -242,9 +242,7 @@ def cmd_converge(config: ExperimentConfig, levels: int = 3) -> int:
         "backend": BACKEND,
         "levels": rows,
         "observed_order": order,
-        "expected_order": 2.0,
-        "order_window": 0.2,
-        "pass": abs(order - 2.0) <= 0.2,
+        "checks": {"order": analysis.Check(abs(order - 2.0), 0.2).to_json_dict()},
     }
     return _emit(payload, os.path.join(config.output_dir, "converge.json"))
 
@@ -255,15 +253,13 @@ def cmd_growth(config: ExperimentConfig) -> int:
     payload = _summary_dict(config, ex, growth=True)
     growth = payload["growth"]
 
-    oracle_section = None
+    payload["oracle"] = None
     if config.profile.strip().lower().startswith("const:"):
-        result = growth_slope(ex.series.data, speed=ex.series.profile.a0)
-        oracle_section = dataclasses.asdict(result)
-        if growth is not None and ex.hypothesis_violation and result.value > 0:
-            rel = abs(growth["sq_norm_slope"] - result.value) / result.value
-            oracle_section["slope_rel_diff"] = rel
-            oracle_section["pass"] = rel <= 0.10
-    payload["oracle"] = oracle_section
+        oracle = growth_slope(ex.series.data, speed=ex.series.profile.a0)
+        payload["oracle"] = dataclasses.asdict(oracle)
+        if growth is not None and ex.hypothesis_violation and oracle.value > 0:
+            rel = abs(growth["sq_norm_slope"] - oracle.value) / oracle.value
+            payload["checks"]["growth_slope"] = analysis.Check(rel, 0.10).to_json_dict()
     return _emit(payload, os.path.join(config.output_dir, "growth.json"))
 
 

@@ -6,7 +6,6 @@ import pytest
 from conftest import bump_constants
 from wavebound import analysis, solver
 from wavebound.analysis import (
-    BoundReport,
     Check,
     DiagnosticRecord,
     DiagnosticSeries,
@@ -125,9 +124,9 @@ def test_all_bounds_coincide_for_unit_speed():
     prof = get_profile("const:1")
     flags = classify(prof, 10.0)
     rep = bound_constant(get_data("odd-velocity"), prof.a0, grid)
-    skeletons = theorem_bound(flags, rep, prof)
-    assert [s.theorem for s in skeletons] == ["Thm1.1", "Cor1.1", "Cor1.2"]
-    values = {s.bound_value for s in skeletons}
+    bounds = theorem_bound(flags, rep, prof)
+    assert list(bounds) == ["Thm1.1", "Cor1.1", "Cor1.2"]
+    values = set(bounds.values())
     assert len(values) == 1  # exact coincidence, no tolerance
     assert values.pop() == rep.I0_sq
 
@@ -137,9 +136,7 @@ def test_increasing_speed_bound_uses_initial_speed():
     prof = get_profile("example1")
     flags = classify(prof, 10.0)
     rep = bound_constant(get_data("derivative-velocity"), prof.a0, grid)
-    skeletons = theorem_bound(flags, rep, prof)
-    thm = [s for s in skeletons if s.theorem == "Thm1.1"][0]
-    assert thm.bound_value == rep.I0_sq  # a(0) = 1 for this profile
+    assert theorem_bound(flags, rep, prof)["Thm1.1"] == rep.I0_sq  # a(0) = 1 for this profile
 
 
 def test_variation_bound_strictly_exceeds_floor_quotient():
@@ -147,8 +144,7 @@ def test_variation_bound_strictly_exceeds_floor_quotient():
     prof = get_profile("example3")
     flags = classify(prof, 100.0)
     rep = bound_constant(get_data("odd-velocity"), prof.a0, grid)
-    cor12 = [s for s in theorem_bound(flags, rep, prof) if s.theorem == "Cor1.2"][0]
-    assert cor12.bound_value > rep.I0_sq / flags.A0**2
+    assert theorem_bound(flags, rep, prof)["Cor1.2"] > rep.I0_sq / flags.A0**2
 
 
 def test_nonvanishing_moment_raises_hypothesis_error():
@@ -174,18 +170,18 @@ def test_no_applicable_statement_raises():
 
 def test_verify_bound_zero_data(run_cache):
     series = run_cache(profile="const:1", data="bump", data_scale=0.0, t_end=2.0, n_points=501, snapshots=10)
-    report = verify_bound(series, BoundReport("Cor1.1", bound_value=1.0, epsilon=0.02))
-    assert report.measured_sup == 0.0 and report.passed
+    check = verify_bound(series, 1.0, 0.02)
+    assert check.value == series.measured_sup == 0.0 and check.to_json_dict()["pass"]
 
 
 def test_growth_regime_violates_a_forced_bound(run_cache):
     # forcing a finite bound on data with nonvanishing moment must fail once
     # the norm has grown past it
     series = run_cache(profile="const:1", data="bump-velocity", t_end=100.0, n_points=2001, snapshots=100)
-    forced = BoundReport("Cor1.1", bound_value=bump_constants()["l2_sq"], epsilon=0.02)
-    report = verify_bound(series, forced)
-    assert not report.passed
-    assert report.margin < 0.0
+    out = verify_bound(series, bump_constants()["l2_sq"], 0.02).to_json_dict()
+    assert not out["pass"]
+    assert out["margin"] < 0.0
+    assert out["value"] == series.measured_sup and out["at"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +278,7 @@ def test_csv_schema_and_round_trip(tmp_path, run_cache):
     series = run_cache(profile="example2a", data="odd-velocity", t_end=2.0, n_points=501, snapshots=5)
     flags = classify(get_profile("example2a"), 8.0)
     rep = bound_constant(get_data("odd-velocity"), 2.0, series.grid)
-    bounds = [verify_bound(series, sk) for sk in theorem_bound(flags, rep, get_profile("example2a"))]
+    bounds = theorem_bound(flags, rep, get_profile("example2a"))
     path = tmp_path / "series.csv"
     write_csv(series, str(path), bounds=bounds)
     lines = path.read_text().splitlines()

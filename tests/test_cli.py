@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import read_archive
-from wavebound import solver
+from wavebound import analysis, solver
 from wavebound.cli import _collect_passes, _experiment, build_parser, load_config, main
 from wavebound.coefficients import get_profile
 from wavebound.config import (
@@ -228,8 +228,7 @@ def test_simulate_writes_series_and_summary(tmp_path, capsys):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["moment"]["v1_in_L2"] is True
-    labels = {b["theorem"]: b["pass"] for b in summary["bounds"]}
-    assert labels["Thm1.1"] is True
+    assert summary["checks"]["Thm1.1"]["pass"] is True
     lines = (out / "series.csv").read_text().splitlines()
     assert lines[0].startswith("t,l2_u_sq,E_u,E_v,l2_vx_sq,a,a_prime,")
     assert len(lines) == 1 + 20
@@ -250,7 +249,7 @@ def test_simulate_growth_regime_reports_exponent(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["hypothesis_violation"] is True
-    assert summary["bounds"] == []
+    assert summary["bounds"] == {} and summary["checks"] == {}
     assert summary["growth"]["exponent"] == pytest.approx(0.5, abs=0.08)
 
 
@@ -333,8 +332,8 @@ def test_verify_passes_for_decaying_profile(tmp_path):
     assert checks["cone"]["pass"] and checks["reconstruction"]["pass"]
     assert checks["energy_identity"]["pass"] and checks["dual_v"]["pass"]
     assert checks["monotone_envelope"]["pass"]
-    assert {b["theorem"] for b in payload["bounds"]} == {"Cor1.1", "Cor1.2"}
-    assert all(b["pass"] for b in payload["bounds"])
+    assert set(payload["bounds"]) == {"Cor1.1", "Cor1.2"}
+    assert checks["Cor1.1"]["pass"] and checks["Cor1.2"]["pass"]
 
 
 def test_verify_oscillating_profile_uses_variation_bound(tmp_path):
@@ -350,9 +349,9 @@ def test_verify_oscillating_profile_uses_variation_bound(tmp_path):
     )
     assert code == 0
     payload = json.loads((out / "verify.json").read_text())
-    assert [b["theorem"] for b in payload["bounds"]] == ["Cor1.2"]
-    assert payload["bounds"][0]["pass"] is True
-    assert set(payload["checks"]) == {"cone", "reconstruction", "energy_identity"}
+    assert list(payload["bounds"]) == ["Cor1.2"]
+    assert payload["checks"]["Cor1.2"]["pass"] is True
+    assert set(payload["checks"]) == {"Cor1.2", "cone", "reconstruction", "energy_identity"}
 
 
 def test_verify_zero_horizon_with_dual_v(tmp_path):
@@ -371,9 +370,8 @@ def test_decaying_speed_bound_divides_by_the_speed_floor(tmp_path):
             "--n-points", "401", "--out", str(out))
     assert run_cli(*argv) == 0
     payload = json.loads((out / "verify.json").read_text())
-    bounds = {b["theorem"]: b for b in payload["bounds"]}
-    assert bounds["Cor1.1"]["bound_value"] == payload["moment"]["I0_sq"] / 0.25
-    assert bounds["Cor1.1"]["pass"] is True
+    assert payload["bounds"]["Cor1.1"] == payload["moment"]["I0_sq"] / 0.25
+    assert payload["checks"]["Cor1.1"]["pass"] is True
 
 
 def test_speed_whose_square_underflows_is_rejected(tmp_path, capsys):
@@ -419,16 +417,54 @@ def test_every_check_has_the_same_five_keys(tmp_path, capsys, profile, dual_v):
     payload = json.loads((out / "verify.json").read_text())
     checks = payload["checks"]
     flags = payload["classification"]
-    want = {"cone", "reconstruction", "energy_identity"}
+    want = {"cone", "reconstruction", "energy_identity", *payload["bounds"]}
     want |= {"growth_envelope"} if flags["a2_holds"] else set()
     want |= {"monotone_envelope"} if flags["a3_holds"] else set()
     want |= {"dual_v"} if dual_v else set()
     assert set(checks) == want
+    assert_five_key_checks(checks, 2.0)
+
+
+def assert_five_key_checks(checks, t_end):
+    """Every check has the five keys and passes; ``at`` is a time of the run or null."""
     for name, check in checks.items():
         assert set(check) == CHECK_KEYS, name
         assert check["margin"] == check["tol"] - check["value"], name
         assert check["pass"] is (check["value"] <= check["tol"]) is True, name
-        assert 0.0 <= check["at"] <= 2.0, name
+        assert check["at"] is None or 0.0 <= check["at"] <= t_end, name
+
+
+# each job's output, and the checks it holds: the bound checks are keyed by
+# their labels, the convergence order and the growth oracle are checks too
+SMALL = ("--t-end", "10", "--n-points", "401")
+
+
+@pytest.mark.parametrize(
+    "argv,name,want",
+    [
+        (("simulate", "--profile", "example1", "--data", "derivative-velocity", *SMALL),
+         "summary.json", {"Thm1.1", "Cor1.2"}),
+        (("simulate", "--profile", "const:1", "--data", "bump-velocity", *SMALL),
+         "summary.json", set()),
+        (("converge", "--profile", "const:1", "--data", "bump", "--t-end", "2", "--n-points", "501"),
+         "converge.json", {"order"}),
+        (("growth", "--profile", "example2b", "--data", "bump-velocity", *SMALL),
+         "growth.json", set()),
+        (("growth", "--profile", "const:1", "--data", "bump-velocity", *SMALL),
+         "growth.json", {"growth_slope"}),
+    ],
+    ids=["simulate", "simulate-growth-regime", "converge", "growth-variable", "growth-const"],
+)
+def test_every_output_check_has_the_same_five_keys(tmp_path, capsys, argv, name, want):
+    out = tmp_path / "job"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    checks = json.loads((out / name).read_text())["checks"]
+    assert set(checks) == want
+    assert_five_key_checks(checks, 10.0)
+    if "order" in want:
+        assert checks["order"]["at"] is None and checks["order"]["tol"] == 0.2
+    if "growth_slope" in want:
+        assert checks["growth_slope"]["at"] is None and checks["growth_slope"]["tol"] == 0.10
 
 
 def test_verify_exits_1_when_a_check_fails(tmp_path, capsys):
@@ -443,7 +479,22 @@ def test_verify_exits_1_when_a_check_fails(tmp_path, capsys):
     check = failed["growth_envelope"]
     assert check["value"] > check["tol"] == 0.0 and check["margin"] < 0.0
     assert 0.0 < check["at"] <= 10.0
-    assert all(b["pass"] for b in payload["bounds"])
+    assert all(payload["checks"][label]["pass"] for label in payload["bounds"])
+
+
+def test_growth_envelope_excess_without_slack_is_the_schemes_error(tmp_path, capsys):
+    # the excess of the job above falls at least second order in h: it is
+    # the discretisation error of E_v, which --epsilon alone absorbs today
+    values = []
+    for n in (801, 1601, 3201):
+        out = tmp_path / str(n)
+        argv = ("verify", "--profile", "example1", "--data", "bump", "--t-end", "10",
+                "--n-points", str(n), "--epsilon", "0", "--out", str(out))
+        assert run_cli(*argv) == 1
+        check = json.loads((out / "verify.json").read_text())["checks"]["growth_envelope"]
+        assert 0.0 < check["at"] < 0.5
+        values.append(check["value"])
+    assert all(coarse > 3.0 * fine > 0.0 for coarse, fine in zip(values, values[1:])), values
 
 
 @pytest.mark.parametrize("scale", ["1e5", "1e8"])
@@ -473,7 +524,8 @@ def test_converge_reports_second_order(tmp_path):
     )
     assert code == 0
     payload = json.loads((out / "converge.json").read_text())
-    assert payload["pass"] is True
+    assert payload["checks"]["order"]["pass"] is True
+    assert payload["checks"]["order"]["value"] == abs(payload["observed_order"] - 2.0)
     assert payload["observed_order"] == pytest.approx(2.0, abs=0.2)
     assert len(payload["levels"]) == 3
 
@@ -541,8 +593,9 @@ def test_growth_command_compares_against_oracle(tmp_path):
     assert payload["growth"]["exponent"] == pytest.approx(0.5, abs=0.05)
     oracle = payload["oracle"]
     assert oracle["method"] == "moment-closed-form"
-    assert oracle["pass"] is True
-    assert oracle["slope_rel_diff"] <= 0.10
+    check = payload["checks"]["growth_slope"]
+    assert check["pass"] is True
+    assert check["value"] <= 0.10
 
 
 def _reject_constant(name):
@@ -708,46 +761,54 @@ def test_dense_dual_v_errors_are_unchanged(tmp_path, capsys, data, extra, dual_e
 
 
 # sha256 of each JSON output of one small job, with the output directory and
-# the backend name blanked out, recorded with the earlier hand-listed JSON
-# blocks
+# the backend name blanked out, and the number of its pass fields. Recorded
+# with every verdict in the one checks table: the bound checks keyed by their
+# labels, bounds a map from label to bound, and converge's order check; each
+# pass count is that of the earlier bound list and converge's top-level pass
 @pytest.mark.parametrize(
-    "name,argv,digest",
+    "name,argv,digest,passes",
     [
         (
             "summary.json",
             ("simulate", "--profile", "example1", "--data", "derivative-velocity",
              "--t-end", "10", "--n-points", "1001", "--snapshots", "20"),
-            "9cf2c60728efdfea809d22fcf3da2e28fa7c0b6c20625c936b94129720a69979",
+            "43194746fdf59c9cfa2368e00313f49f3376cc14fa16a4f2fc22b6f90da41ac7",
+            2,
         ),
         (
             "verify.json",
             ("verify", "--profile", "example2a", "--data", "odd-velocity", "--t-end", "10",
              "--n-points", "1001", "--snapshots", "40", "--dual-v"),
-            # recorded with the flat check table: each check's value, tol,
-            # margin, pass and at; the values are the earlier maxima bit for bit
-            "4c9035cff8d5b4f2d05532df676224f4c868724d96741aa31097478e57fd7315",
+            # each check's value, tol, margin, pass and at; the values are the
+            # earlier maxima bit for bit
+            "c54bb9106b8c02e3bf218250d728b5beca7fd3e7617f3e513208f09a37526637",
+            7,
         ),
         (
             "converge.json",
             ("converge", "--profile", "const:1", "--data", "bump", "--t-end", "2",
              "--n-points", "501"),
-            "1c50b9b4622cb0cdf513b58161d24555b73ede0e42196b705d7c58ae11542d15",
+            "c39977cfbf1d1cc9d38bbad0fdf78982c022f3fc94936ae7bd61fd1342b439e0",
+            1,
         ),
         (
             "growth.json",
             ("growth", "--profile", "example2b", "--data", "bump-velocity", "--t-end", "40",
              "--n-points", "1001"),
             # growth regime: the infinite I0_sq and v1_l2_sq are written as null
-            "fd59be7f6b19f715986b486f457d4df14ec8807da985abfaa9488cc202bbb20b",
+            "aa50339b8190f53f4191d5dedb552f61844fe4357ecef24eee0d12c271c09136",
+            0,
         ),
     ],
+    ids=["summary.json", "verify.json", "converge.json", "growth.json"],
 )
-def test_json_output_is_byte_identical(tmp_path, capsys, name, argv, digest):
+def test_json_output_is_byte_identical(tmp_path, capsys, name, argv, digest, passes):
     out = tmp_path / "job"
     assert run_cli(*argv, "--out", str(out)) == 0
     text = (out / name).read_text(encoding="utf-8").replace(str(out), "")
     text = text.replace(f'"backend": "{BACKEND}"', '"backend": ""')
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(_collect_passes(json.loads(text))) == passes
 
 
 @settings(max_examples=40, deadline=None)
@@ -782,7 +843,8 @@ def test_regime_follows_the_exact_moment_and_bounds_pass(
     assert ex.report.v1_in_L2 is bounded
     assert ex.hypothesis_violation is not bounded
     assert bool(ex.bounds) is bounded
-    assert all(rep.passed for rep in ex.bounds)
+    for bound in ex.bounds.values():
+        assert analysis.verify_bound(ex.series, bound, config.epsilon_bound).to_json_dict()["pass"]
 
 
 def test_trace_patch_targets_are_callable():
